@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 import click
 
@@ -140,7 +141,10 @@ def simulate(probe_bits, trials, seed, sigma, bin_width, distinguishable,
     """Seeded Monte Carlo histogram of device output angles."""
     if trials < 1:
         raise click.UsageError("--n must be at least 1")
-    cfg = _device_config(sigma, distinguishable, alpha_hat1, alpha_tilde1, alpha2)
+    try:
+        cfg = _device_config(sigma, distinguishable, alpha_hat1, alpha_tilde1, alpha2)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     ps = ProbeState.from_bits(probe_bits)
     hist = run_histogram(ps, trials, cfg, seed=seed, bin_width=bin_width)
     summary = {
@@ -242,8 +246,8 @@ def _parse_fix(fix_texts: tuple[str, ...]) -> dict[int, int]:
 @click.option("--temp", "temperature", type=float, default=None, help="Kelvin.")
 def energy_cmd(gate_id, project_line, fixes, temperature) -> None:
     """Erased bits and Landauer cost of a (possibly projected) gate table."""
-    if temperature is not None and temperature <= 0:
-        raise click.UsageError("--temp must be a positive temperature in kelvin")
+    if temperature is not None and not 0 < temperature < math.inf:
+        raise click.UsageError("--temp must be a finite positive temperature in kelvin")
     gate = _gate(gate_id)
     assignments = _parse_fix(fixes)
     try:
@@ -256,7 +260,7 @@ def energy_cmd(gate_id, project_line, fixes, temperature) -> None:
     payload = {"gate": gate.name, "fixing": fixing.label() if fixing else None,
                "project_line": project_line}
     payload.update(report.to_json(temperature))
-    click.echo(json.dumps(payload))
+    click.echo(json.dumps(payload, allow_nan=False))
 
 
 def _derived_set_checks() -> list[tuple[str, bool]]:

@@ -12,6 +12,7 @@ and configs reproduce sample streams bit-exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -86,6 +87,9 @@ class DeviceConfig:
     distinguishable: bool = False
 
     def __post_init__(self) -> None:
+        values = (self.alpha_hat1, self.alpha_tilde1, self.alpha2, self.sigma)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"angles and sigma must be finite, got {values}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if min(self.alpha_hat1, self.alpha_tilde1) <= 0:

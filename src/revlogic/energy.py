@@ -13,7 +13,7 @@ from typing import Hashable, Mapping
 
 import numpy as np
 
-from .core import Gate, Word
+from .core import Gate, Word, all_words
 from .derivation import Fixing, restrict
 
 #: Boltzmann constant, exact SI value, J/K.
@@ -27,7 +27,7 @@ class InvalidDistribution(ValueError):
 
 
 class NonphysicalTemperature(ValueError):
-    """Temperature must be strictly positive kelvin."""
+    """Temperature must be finite, strictly positive kelvin."""
 
 
 @dataclass(frozen=True)
@@ -46,17 +46,17 @@ class Distribution:
     @classmethod
     def uniform(cls, outcomes) -> "Distribution":
         outcomes = list(outcomes)
-        return cls({o: 1.0 / len(outcomes) for o in outcomes})
+        return cls(dict.fromkeys(outcomes, 1.0 / len(outcomes)))
 
     @classmethod
     def uniform_words(cls, width: int) -> "Distribution":
-        return cls.uniform(Word.from_index(width, i) for i in range(1 << width))
+        return cls.uniform(all_words(width))
 
     @classmethod
     def random_words(cls, width: int, rng: np.random.Generator) -> "Distribution":
         raw = rng.random(1 << width)
         raw /= raw.sum()
-        return cls({Word.from_index(width, i): float(p) for i, p in enumerate(raw)})
+        return cls(dict(zip(all_words(width), raw.tolist())))
 
     @property
     def support(self) -> tuple[Hashable, ...]:
@@ -116,10 +116,10 @@ def info_loss(table: Mapping[Word, Hashable], dist: Distribution) -> EnergyRepor
 
 def landauer_energy(bits: float, temperature_K: float) -> float:
     """Minimum dissipation for erasing ``bits`` at ``temperature_K`` kelvin."""
-    if bits < 0:
+    if not bits >= 0:
         raise ValueError(f"erased bits must be >= 0, got {bits}")
-    if temperature_K <= 0:
-        raise NonphysicalTemperature(f"temperature must be > 0 K, got {temperature_K}")
+    if not 0 < temperature_K < math.inf:
+        raise NonphysicalTemperature(f"temperature must be finite and > 0 K, got {temperature_K}")
     return bits * BOLTZMANN_JK * temperature_K * math.log(2)
 
 
@@ -134,12 +134,16 @@ def transfer_table(
     ``project_line`` the table keeps only that output bit, which is exactly
     the step that discards garbage and starts erasing information.
     """
+    words = all_words(gate.width)
     if fixing is None:
-        pairs = [(Word.from_index(gate.width, i), out) for i, out in enumerate(gate.table)]
+        inputs, outputs = words, gate.perm
     else:
-        pairs = [(fixing.full_word(free.bits), out) for free, out in restrict(gate, fixing)]
+        rows = restrict(gate, fixing)
+        inputs = [fixing.full_word(free.bits) for free, _ in rows]
+        outputs = [out.index for _, out in rows]
     if project_line is None:
-        return dict(pairs)
+        return dict(zip(inputs, map(words.__getitem__, outputs)))
     if not 1 <= project_line <= gate.width:
         raise ValueError(f"output line {project_line} outside 1..{gate.width}")
-    return {word: out.bits[project_line - 1] for word, out in pairs}
+    shift = gate.width - project_line
+    return {word: (out >> shift) & 1 for word, out in zip(inputs, outputs)}

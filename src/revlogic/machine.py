@@ -20,6 +20,7 @@ the odd one out: it varies the initial angle as a genuine input, so line 1
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -68,8 +69,9 @@ def normalize(
     """Apply one angle-to-bit normalization function."""
     norm = NormalizationId(norm)
     cfg = cfg or DeviceConfig()
-    if alpha < 0:
-        raise ValueError("angles are measured from the vertical, must be >= 0")
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"angles are measured from the vertical, must be finite and >= 0, "
+                         f"got {alpha}")
     if norm is NormalizationId.DELTA_U1:
         raise ValueError("the delta form maps an angle pair; use delta_normalize")
     if norm is NormalizationId.U4:

@@ -88,6 +88,12 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--input", "00", "--n", "0"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("option", ["--sigma", "--alpha2"])
+    def test_non_finite_config_is_usage_error(self, runner, option):
+        result = runner.invoke(main, ["simulate", "--input", "11", "--n", "10", option, "nan"])
+        assert result.exit_code == 2
+        assert "finite" in result.output
+
 
 class TestMachine:
     def test_single_norm_pass(self, runner):
@@ -142,6 +148,13 @@ class TestEnergy:
     def test_bad_fix_line(self, runner):
         result = runner.invoke(main, ["energy", "--gate", "cl", "--fix", "x9=0"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("temperature", ["nan", "inf", "-inf"])
+    def test_non_finite_temp_is_usage_error(self, runner, temperature):
+        result = runner.invoke(main, ["energy", "--gate", "cl", "--fix", "x3=0",
+                                      "--project", "3", "--temp", temperature])
+        assert result.exit_code == 2
+        assert "NaN" not in result.output and "Infinity" not in result.output
 
 
 class TestVerifyAll:

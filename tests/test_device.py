@@ -59,6 +59,12 @@ class TestDeviceConfig:
         with pytest.raises(ValueError):
             DeviceConfig(sigma=0.0)
 
+    @pytest.mark.parametrize("field", ["sigma", "alpha_hat1", "alpha_tilde1", "alpha2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            DeviceConfig(**{field: value})
+
 
 class TestEquilibriumAngle:
     def test_dd_relaxes_to_vertical(self):

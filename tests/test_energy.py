@@ -129,6 +129,11 @@ class TestLandauerEnergy:
         with pytest.raises(ValueError):
             landauer_energy(-0.5, 300.0)
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
+    def test_non_finite_temperature(self, temperature):
+        with pytest.raises(NonphysicalTemperature):
+            landauer_energy(1.0, temperature)
+
 
 class TestEnergyReport:
     def test_report_fields_consistent(self):

@@ -71,6 +71,13 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize("u1", -0.1)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_angle_rejected(self, alpha):
+        with pytest.raises(ValueError):
+            normalize("u1", alpha)
+        with pytest.raises(ValueError):
+            delta_normalize(0.0, alpha)
+
 
 class TestDeltaNormalize:
     def test_vertical_stays_vertical(self):

@@ -1,0 +1,224 @@
+"""The integer-permutation core against the Word-table reference.
+
+Properties run over widths 1..12 with random, involution and
+Hamming-class-preserving permutations, so both flags are exercised on their
+true and false sides; fixed width-16 cases cover the widest gates. Each
+property runs one reference operation, to stay well inside the default
+per-example deadline at width 12.
+"""
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import seed_core as ref
+from revlogic.core import (
+    Gate,
+    GateFlags,
+    NotBijective,
+    WidthMismatch,
+    Word,
+    WrongLength,
+    compose,
+    make_gate,
+)
+from revlogic.derivation import Fixing
+from revlogic.energy import Distribution, info_loss, transfer_table
+
+KINDS = ("random", "involution", "conservative")
+
+
+def permutation(kind, width, seed):
+    rnd = random.Random(seed)
+    codes = list(range(1 << width))
+    if kind == "random":
+        rnd.shuffle(codes)
+        return codes
+    perm = codes[:]
+    if kind == "involution":
+        rnd.shuffle(codes)
+        for a, b in zip(codes[::2], codes[1::2]):
+            perm[a], perm[b] = b, a
+        return perm
+    classes = {}
+    for i in codes:
+        classes.setdefault(bin(i).count("1"), []).append(i)
+    for members in classes.values():
+        shuffled = members[:]
+        rnd.shuffle(shuffled)
+        for src, dst in zip(members, shuffled):
+            perm[src] = dst
+    return perm
+
+
+def rows(kind, width, seed):
+    return [format(p, f"0{width}b") for p in permutation(kind, width, seed)]
+
+
+def gate_and_table(width, kind, seed):
+    outputs = rows(kind, width, seed)
+    return make_gate(width, outputs), ref.make_table(width, outputs)
+
+
+seeds = st.integers(0, 2**32 - 1)
+specs = st.tuples(st.sampled_from(KINDS), seeds)
+#: One gate of width 1..12 and its reference table.
+gates = st.tuples(st.integers(1, 12), st.sampled_from(KINDS), seeds).map(
+    lambda spec: gate_and_table(*spec))
+
+
+def same_width(count):
+    """``count`` gates of one width in 1..12."""
+    return st.integers(1, 12).flatmap(lambda w: st.lists(
+        specs.map(lambda spec: make_gate(w, rows(spec[0], w, spec[1]))),
+        min_size=count, max_size=count))
+
+
+def assert_matches_reference(gate, table):
+    assert gate.table == table
+    assert gate.perm == tuple(ref.index(out) for out in table)
+    assert gate.is_identity() == ref.is_identity(table)
+
+
+@settings(max_examples=30)
+@given(gates, seeds)
+def test_make_gate_and_then_match_reference(pair, seed):
+    gate, table = pair
+    other, other_table = gate_and_table(gate.width, "random", seed)
+    assert_matches_reference(gate, table)
+    assert_matches_reference(gate.then(other), ref.then(table, other_table))
+
+
+@settings(max_examples=30)
+@given(gates)
+def test_inverse_matches_reference(pair):
+    gate, table = pair
+    assert_matches_reference(gate.inverse(), ref.inverse(table))
+
+
+@settings(max_examples=30)
+@given(gates)
+def test_flags_match_reference(pair):
+    gate, table = pair
+    assert gate.flags() == GateFlags(*ref.flags(table))
+
+
+@settings(max_examples=30)
+@given(gates)
+def test_json_matches_reference(pair):
+    gate, table = pair
+    assert gate.to_json() == ref.to_json(table)
+    assert Gate.loads(gate.dumps()) == gate
+
+
+@settings(max_examples=30)
+@given(gates, st.data())
+def test_transfer_tables_match_reference(pair, data):
+    gate, table = pair
+    line = data.draw(st.integers(1, gate.width))
+    assert transfer_table(gate) == ref.transfer_table(table)
+    assert transfer_table(gate, project_line=line) == ref.transfer_table(table, project_line=line)
+    if gate.width > 1:
+        fixing = Fixing.of(gate.width, {line: data.draw(st.integers(0, 1))})
+        assert transfer_table(gate, fixing, line) == ref.transfer_table(table, fixing, line)
+
+
+@settings(max_examples=30)
+@given(same_width(3))
+def test_compose_is_associative(fgh):
+    f, g, h = fgh
+    assert compose(compose(f, g), h) == compose(f, compose(g, h))
+
+
+@settings(max_examples=30)
+@given(same_width(1))
+def test_inverse_is_an_involution(one):
+    (gate,) = one
+    assert gate.inverse().inverse() == gate
+    assert gate.then(gate.inverse()).is_identity()
+    assert gate.inverse().then(gate).is_identity()
+
+
+@settings(max_examples=30)
+@given(same_width(1), seeds)
+def test_bijection_erases_nothing(one, dist_seed):
+    (gate,) = one
+    table = transfer_table(gate)
+    for dist in (Distribution.uniform_words(gate.width),
+                 Distribution.random_words(gate.width, np.random.default_rng(dist_seed))):
+        assert abs(info_loss(table, dist).erased_bits) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """A random width-16 gate and its reference table."""
+    return gate_and_table(16, "random", 16)
+
+
+def test_width_16_make_then_inverse(wide):
+    gate, table = wide
+    assert_matches_reference(gate, table)
+    assert_matches_reference(gate.then(gate), ref.then(table, table))
+    assert_matches_reference(gate.inverse(), ref.inverse(table))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_width_16_flags(kind):
+    gate, table = gate_and_table(16, kind, 16)
+    assert gate.flags() == GateFlags(*ref.flags(table))
+    assert gate.flags() == GateFlags(kind == "involution", kind == "conservative")
+
+
+def test_width_16_json_and_transfer_tables(wide):
+    gate, table = wide
+    assert gate.to_json() == ref.to_json(table)
+    assert Gate.loads(gate.dumps()) == gate
+    assert transfer_table(gate) == ref.transfer_table(table)
+    assert transfer_table(gate, project_line=5) == ref.transfer_table(table, project_line=5)
+    fixing = Fixing.of(16, {2: 1, 9: 0})
+    assert transfer_table(gate, fixing, 16) == ref.transfer_table(table, fixing, 16)
+    report = info_loss(transfer_table(gate), Distribution.uniform_words(16))
+    assert abs(report.erased_bits) <= 1e-12
+
+
+ROW_CASES = [
+    # (id, width, rows, exception class the seed raised, or None for a valid gate)
+    ("bad-char", 3, ["000", "001", "012", "011", "100", "101", "110", "111"], ValueError),
+    ("letter", 2, ["00", "0a", "10", "11"], ValueError),
+    ("space", 2, ["00", " 1", "10", "11"], ValueError),
+    ("underscore", 3, ["000", "0_1", "010", "011", "100", "101", "110", "111"], ValueError),
+    ("sign", 2, ["00", "+1", "10", "11"], ValueError),
+    ("row-too-long", 2, ["00", "01", "10", "111"], WidthMismatch),
+    ("row-too-short", 2, ["00", "01", "10", "1"], WidthMismatch),
+    ("empty-row", 2, ["00", "01", "10", ""], WrongLength),
+    ("row-over-max-width", 2, ["00", "01", "10", "0" * 17], WrongLength),
+    ("repeated-row", 2, ["00", "00", "11", "10"], NotBijective),
+    ("width-0", 0, ["0"], WrongLength),
+    ("width-17", 17, ["0", "1"], WrongLength),
+    ("too-few-rows", 2, ["00", "01", "10"], WrongLength),
+    ("mixed-valid", 2, [Word((0, 1)), "00", (1, 1), "10"], None),
+    ("mixed-repeated", 2, [Word((0, 0)), "00", "11", "10"], NotBijective),
+    ("mixed-bad-char", 2, [Word((0, 0)), "02", "11", "10"], ValueError),
+    ("non-ascii-digits", 1, ["١", "٠"], None),
+    ("bad-char-before-width", 17, ["2"], ValueError),
+    ("bad-char-before-repeat", 2, ["00", "00", "12", "10"], ValueError),
+    ("long-row-before-count", 2, ["00", "0" * 17], WrongLength),
+    ("count-before-row-width", 2, ["00", "01", "111"], WrongLength),
+    ("row-width-before-repeat", 2, ["00", "00", "111", "10"], WidthMismatch),
+    ("width-before-count", 0, [], WrongLength),
+]
+
+
+@pytest.mark.parametrize("width,outputs,expected", [case[1:] for case in ROW_CASES],
+                         ids=[case[0] for case in ROW_CASES])
+def test_make_gate_errors_match_reference(width, outputs, expected):
+    if expected is None:
+        assert make_gate(width, iter(outputs)).table == ref.make_table(width, outputs)
+        return
+    with pytest.raises(expected) as seed_info:
+        ref.make_table(width, outputs)
+    with pytest.raises(expected) as info:
+        make_gate(width, iter(outputs))
+    assert type(seed_info.value) is type(info.value) is expected
