@@ -24,7 +24,6 @@ from .device import (
     equilibrium_angle,
     run_histogram,
     sample_many,
-    sample_output,
 )
 from .energy import (
     BOLTZMANN_JK,
@@ -37,13 +36,14 @@ from .energy import (
 )
 from .library import GateId, build, formula_output
 from .machine import (
-    Ancilla,
+    CheckRecord,
     MachineTable,
     NormalizationId,
     coherence_check,
     delta_normalize,
     machine_table,
     normalize,
+    verify_all,
     verify_conclusion,
 )
 
@@ -52,12 +52,12 @@ __all__ = [
     "BooleanFunction", "Classification", "Connective", "Fixing",
     "classify", "derived_connectives", "output_function", "restrict",
     "DeviceConfig", "Probe", "ProbeState", "encode_symbolic",
-    "equilibrium_angle", "run_histogram", "sample_many", "sample_output",
+    "equilibrium_angle", "run_histogram", "sample_many",
     "BOLTZMANN_JK", "Distribution", "EnergyReport", "info_loss",
     "landauer_energy", "shannon_entropy", "transfer_table",
     "GateId", "build", "formula_output",
-    "Ancilla", "MachineTable", "NormalizationId", "coherence_check",
-    "delta_normalize", "machine_table", "normalize", "verify_conclusion",
+    "CheckRecord", "MachineTable", "NormalizationId", "coherence_check",
+    "delta_normalize", "machine_table", "normalize", "verify_all", "verify_conclusion",
 ]
 
 __version__ = "0.1.0"

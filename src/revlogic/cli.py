@@ -13,18 +13,11 @@ import math
 
 import click
 
-from . import device, library
+from . import device, library, machine
 from .derivation import Fixing, InvalidFixing, derived_connectives
 from .device import DeviceConfig, ProbeState, run_histogram
 from .energy import Distribution, info_loss, transfer_table
-from .library import GateId, build
-from .machine import (
-    ConclusionVerdict,
-    MachineTable,
-    NormalizationId,
-    coherence_check,
-    verify_conclusion,
-)
+from .library import build
 
 SEED_ENVVAR = "REVLOGIC_SEED"
 
@@ -86,7 +79,10 @@ def gates_show(gate_id: str, as_json: bool) -> None:
 def derive(gate_id: str, as_json: bool) -> None:
     """Connectives realizable from GATE_ID by fixing ancilla lines."""
     gate = _gate(gate_id)
-    result = derived_connectives(gate)
+    try:
+        result = derived_connectives(gate)
+    except InvalidFixing as exc:
+        raise click.UsageError(str(exc)) from None
     if as_json:
         click.echo(json.dumps({
             "gate": gate.name,
@@ -109,17 +105,6 @@ def derive(gate_id: str, as_json: bool) -> None:
     click.echo("summary: " + ", ".join(sorted(name.value for name in result.names)))
 
 
-def _device_config(sigma, distinguishable, alpha_hat1, alpha_tilde1, alpha2) -> DeviceConfig:
-    defaults = DeviceConfig()
-    return DeviceConfig(
-        alpha_hat1=alpha_hat1 if alpha_hat1 is not None else defaults.alpha_hat1,
-        alpha_tilde1=alpha_tilde1 if alpha_tilde1 is not None else defaults.alpha_tilde1,
-        alpha2=alpha2 if alpha2 is not None else defaults.alpha2,
-        sigma=sigma if sigma is not None else defaults.sigma,
-        distinguishable=distinguishable,
-    )
-
-
 @main.command()
 @click.option("--input", "probe_bits", required=True,
               type=click.Choice(["00", "01", "10", "11"]),
@@ -127,26 +112,25 @@ def _device_config(sigma, distinguishable, alpha_hat1, alpha_tilde1, alpha2) -> 
 @click.option("--n", "trials", default=10_000, show_default=True)
 @click.option("--seed", envvar=SEED_ENVVAR, default=0, show_default=True,
               help=f"RNG seed (env {SEED_ENVVAR}).")
-@click.option("--sigma", type=float, default=None, help="Gaussian noise width.")
+@click.option("--sigma", type=float, default=DeviceConfig.sigma, help="Gaussian noise width.")
 @click.option("--bin-width", type=float, default=device.DEFAULT_BIN_WIDTH, show_default=True)
 @click.option("--distinguishable", is_flag=True,
               help="Resolve the two one-probe rest angles.")
-@click.option("--alpha-hat1", type=float, default=None)
-@click.option("--alpha-tilde1", type=float, default=None)
-@click.option("--alpha2", type=float, default=None)
+@click.option("--alpha-hat1", type=float, default=DeviceConfig.alpha_hat1)
+@click.option("--alpha-tilde1", type=float, default=DeviceConfig.alpha_tilde1)
+@click.option("--alpha2", type=float, default=DeviceConfig.alpha2)
 @click.option("--json", "as_json", is_flag=True,
               help="One JSON document instead of CSV + summary on stderr.")
 def simulate(probe_bits, trials, seed, sigma, bin_width, distinguishable,
              alpha_hat1, alpha_tilde1, alpha2, as_json) -> None:
     """Seeded Monte Carlo histogram of device output angles."""
-    if trials < 1:
-        raise click.UsageError("--n must be at least 1")
+    ps = ProbeState.from_bits(probe_bits)
     try:
-        cfg = _device_config(sigma, distinguishable, alpha_hat1, alpha_tilde1, alpha2)
+        cfg = DeviceConfig(alpha_hat1=alpha_hat1, alpha_tilde1=alpha_tilde1, alpha2=alpha2,
+                           sigma=sigma, distinguishable=distinguishable)
+        hist = run_histogram(ps, trials, cfg, seed=seed, bin_width=bin_width)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
-    ps = ProbeState.from_bits(probe_bits)
-    hist = run_histogram(ps, trials, cfg, seed=seed, bin_width=bin_width)
     summary = {
         "input": probe_bits,
         "symbol": device.encode_symbolic(ps),
@@ -162,7 +146,7 @@ def simulate(probe_bits, trials, seed, sigma, bin_width, distinguishable,
             {"bin_low": hist.bin_edges[i], "bin_high": hist.bin_edges[i + 1], "count": c}
             for i, c in enumerate(hist.counts)
         ]
-        click.echo(json.dumps(summary))
+        click.echo(json.dumps(summary, allow_nan=False))
         return
     out = io.StringIO()
     writer = csv.writer(out)
@@ -170,10 +154,10 @@ def simulate(probe_bits, trials, seed, sigma, bin_width, distinguishable,
     for i, count in enumerate(hist.counts):
         writer.writerow([f"{hist.bin_edges[i]:.6g}", f"{hist.bin_edges[i + 1]:.6g}", count])
     click.echo(out.getvalue(), nl=False)
-    click.echo(json.dumps(summary), err=True)
+    click.echo(json.dumps(summary, allow_nan=False), err=True)
 
 
-def _print_machine_table(table: MachineTable) -> None:
+def _print_machine_table(table: machine.MachineTable) -> None:
     click.echo(f"normalization {table.norm.value} "
                f"(ancilla line x{table.ancilla_line}, inputs "
                + ", ".join(f"x{j}" for j in table.free_lines) + ")")
@@ -181,7 +165,7 @@ def _print_machine_table(table: MachineTable) -> None:
     click.echo(f"connective: {table.connective.value}")
 
 
-def _machine_json(verdict: ConclusionVerdict) -> dict:
+def _machine_json(verdict: machine.ConclusionVerdict) -> dict:
     return {
         "normalization": verdict.norm.value,
         "gate": verdict.gate_id.value,
@@ -195,7 +179,7 @@ def _machine_json(verdict: ConclusionVerdict) -> dict:
 
 @main.command("machine")
 @click.option("--norm", "norm_name",
-              type=click.Choice([n.value for n in NormalizationId]))
+              type=click.Choice([n.value for n in machine.NormalizationId]))
 @click.option("--all", "run_all", is_flag=True, help="Check every normalization.")
 @click.option("--distinguishable", is_flag=True)
 @click.option("--json", "as_json", is_flag=True)
@@ -204,12 +188,12 @@ def machine_cmd(ctx, norm_name, run_all, distinguishable, as_json) -> None:
     """Run the normalization machine and verify it against its gate."""
     if run_all == (norm_name is not None):
         raise click.UsageError("give exactly one of --norm or --all")
-    if norm_name == NormalizationId.U4.value and not distinguishable:
+    if norm_name == machine.NormalizationId.U4.value and not distinguishable:
         raise click.UsageError("u4 needs --distinguishable")
     # with no explicit config, verify_conclusion picks the right default per id
     cfg = DeviceConfig(distinguishable=True) if distinguishable else None
-    norms = list(NormalizationId) if run_all else [NormalizationId(norm_name)]
-    verdicts = [verify_conclusion(n, cfg) for n in norms]
+    norms = list(machine.NormalizationId) if run_all else [machine.NormalizationId(norm_name)]
+    verdicts = [machine.verify_conclusion(n, cfg) for n in norms]
     if as_json:
         click.echo(json.dumps([_machine_json(v) for v in verdicts]))
     else:
@@ -263,44 +247,18 @@ def energy_cmd(gate_id, project_line, fixes, temperature) -> None:
     click.echo(json.dumps(payload, allow_nan=False))
 
 
-def _derived_set_checks() -> list[tuple[str, bool]]:
-    wanted = {
-        GateId.CL: {"XOR", "OR", "NOR", "NOT", "FANOUT"},
-        GateId.TOFFOLI: {"XOR", "AND", "NAND", "NOT", "FANOUT"},
-        GateId.X: {"XOR", "NXOR", "NOT", "FANOUT"},
-    }
-    checks = []
-    for gate_id, names in wanted.items():
-        got = {n.value for n in derived_connectives(build(gate_id)).names}
-        checks.append((f"derived-set {gate_id.value} includes "
-                       f"{{{', '.join(sorted(names))}}}", names <= got))
-    return checks
-
-
 @main.command("verify-all")
 @click.option("--json", "as_json", is_flag=True)
 @click.pass_context
 def verify_all(ctx, as_json) -> None:
     """Re-derive every conclusion: one PASS/FAIL line each."""
-    lines: list[tuple[str, bool]] = []
-    for norm in NormalizationId:
-        verdict = verify_conclusion(norm)
-        lines.append((
-            f"conclusion {norm.value:6s} -> {verdict.gate_id.value} "
-            f"{verdict.fixing.label()} -> {verdict.expected.value}",
-            verdict.passed,
-        ))
-    coherence = coherence_check()
-    lines.append(("coherence u1(out) = |u1(in) - u1(out)| at vertical start",
-                  coherence.passed))
-    lines.extend(_derived_set_checks())
-
+    records = machine.verify_all()
     if as_json:
-        click.echo(json.dumps([{"check": text, "passed": ok} for text, ok in lines]))
+        click.echo(json.dumps([{"check": r.label, "passed": r.passed} for r in records]))
     else:
-        for text, ok in lines:
-            click.echo(f"{'PASS' if ok else 'FAIL'}  {text}")
-    if not all(ok for _, ok in lines):
+        for r in records:
+            click.echo(f"{'PASS' if r.passed else 'FAIL'}  {r.label}")
+    if not all(r.passed for r in records):
         ctx.exit(1)
 
 

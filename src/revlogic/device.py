@@ -20,6 +20,9 @@ import numpy as np
 
 DEFAULT_BIN_WIDTH = 0.02
 
+# Refuse samples spanning more bin widths than this, not GiB of edges and counts.
+MAX_BINS = 100_000
+
 # Samples are kept within this many standard deviations of the equilibrium
 # angle (and above 0) by resampling, so every histogram has bounded support.
 SUPPORT_SIGMAS = 6.0
@@ -108,19 +111,6 @@ class DeviceConfig:
         return 0.5 * (self.alpha_hat1 + self.alpha_tilde1)
 
 
-@dataclass(frozen=True)
-class AngleSample:
-    """One device shot: the probe input, the initial angle, the measured output."""
-
-    probes: ProbeState
-    alpha_i: float
-    output_angle: float
-
-    def __post_init__(self) -> None:
-        if self.output_angle < 0:
-            raise ValueError("angles are measured from the vertical, must be >= 0")
-
-
 def equilibrium_angle(ps: ProbeState, cfg: DeviceConfig | None = None) -> float:
     """Noise-free rest angle for a probe configuration.
 
@@ -142,7 +132,6 @@ def sample_many(
     n: int,
     cfg: DeviceConfig,
     rng: np.random.Generator,
-    alpha_i: float = 0.0,
 ) -> np.ndarray:
     """Draw ``n`` output angles for one probe input.
 
@@ -150,8 +139,6 @@ def sample_many(
     until they land in [max(0, mean - 6 sigma), mean + 6 sigma]; clamping
     would pile a spurious point mass at 0 into the DD histograms.
     """
-    if alpha_i < 0:
-        raise ValueError("initial angle must be >= 0")
     mean = equilibrium_angle(ps, cfg)
     lo = max(0.0, mean - SUPPORT_SIGMAS * cfg.sigma)
     hi = mean + SUPPORT_SIGMAS * cfg.sigma
@@ -163,17 +150,6 @@ def sample_many(
         out[filled:filled + keep.size] = keep
         filled += keep.size
     return out
-
-
-def sample_output(
-    ps: ProbeState,
-    alpha_i: float,
-    cfg: DeviceConfig,
-    rng: np.random.Generator,
-) -> AngleSample:
-    """One noisy device shot."""
-    angle = float(sample_many(ps, 1, cfg, rng, alpha_i)[0])
-    return AngleSample(ps, alpha_i, angle)
 
 
 @dataclass(frozen=True)
@@ -203,15 +179,19 @@ def run_histogram(
     seed: int = 0,
     bin_width: float = DEFAULT_BIN_WIDTH,
 ) -> Histogram:
-    """Histogram of ``n`` seeded device shots with the tip initially vertical."""
+    """Histogram of ``n`` seeded device shots."""
     if n < 1:
         raise ValueError("need at least one trial")
-    if bin_width <= 0:
-        raise ValueError("bin width must be positive")
+    if not 0 < bin_width < math.inf:
+        raise ValueError(f"bin width must be finite and positive, got {bin_width}")
     cfg = cfg or DeviceConfig()
     samples = sample_many(ps, n, cfg, np.random.default_rng(seed))
-    k_lo = int(np.floor(samples.min() / bin_width))
-    k_hi = int(np.floor(samples.max() / bin_width)) + 1
+    lo, hi = float(samples.min()) / bin_width, float(samples.max()) / bin_width
+    # Past 2**52, adjacent edges k * bin_width stop being distinct floats.
+    if not (hi - lo < MAX_BINS and hi < 2**52):
+        raise ValueError(f"bin width {bin_width} is too fine for these samples")
+    k_lo = int(np.floor(lo))
+    k_hi = int(np.floor(hi)) + 1
     edges = np.arange(k_lo, k_hi + 1) * bin_width
     counts, _ = np.histogram(samples, bins=edges)
     return Histogram(

@@ -25,7 +25,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import Word
-from .derivation import BooleanFunction, Connective, Fixing, classify, restrict
+from .derivation import (
+    BooleanFunction,
+    Connective,
+    Fixing,
+    classify,
+    derived_connectives,
+    restrict,
+)
 from .device import DA, PROBE_STATES, DeviceConfig, Probe, ProbeState, equilibrium_angle
 from .library import GateId, build
 
@@ -43,11 +50,6 @@ class NormalizationId(str, Enum):
     U3_BAR = "u3bar"
     U4 = "u4"
     DELTA_U1 = "delta"
-
-
-class Ancilla(Enum):
-    VERTICAL = "vertical"  # initial angle 0
-    DEFLECTED = "deflected"  # initial angle = one-probe rest angle
 
 
 class U4Unclassifiable(ValueError):
@@ -112,22 +114,13 @@ class MachineTable:
     """
 
     norm: NormalizationId
-    ancilla: Ancilla
     rows: tuple[tuple[Word, Word], ...]
     ancilla_line: int
     free_lines: tuple[int, int]
     connective: Connective
 
 
-def _initial_angle(ancilla: Ancilla, cfg: DeviceConfig) -> float:
-    return 0.0 if ancilla is Ancilla.VERTICAL else equilibrium_angle(DA, cfg)
-
-
-def machine_table(
-    norm: "NormalizationId | str",
-    ancilla: Ancilla = Ancilla.VERTICAL,
-    cfg: DeviceConfig | None = None,
-) -> MachineTable:
+def machine_table(norm: "NormalizationId | str", cfg: DeviceConfig | None = None) -> MachineTable:
     """Run the machine symbolically: normalize the noiseless transitions."""
     norm = NormalizationId(norm)
     cfg = cfg or DeviceConfig()
@@ -136,7 +129,7 @@ def machine_table(
         # Probe 1 held off; probe 2 and the initial angle are the inputs.
         rows = []
         for p2 in (Probe.D, Probe.A):
-            for alpha_i in (0.0, _initial_angle(Ancilla.DEFLECTED, cfg)):
+            for alpha_i in (0.0, equilibrium_angle(DA, cfg)):
                 ps = ProbeState(Probe.D, p2)
                 x3 = normalize(NormalizationId.U1, alpha_i)
                 out = delta_normalize(alpha_i, equilibrium_angle(ps, cfg))
@@ -144,17 +137,16 @@ def machine_table(
         rows.sort(key=lambda row: row[0].index)
         truth = tuple(out.bits[2] for _, out in rows)
         connective = classify(BooleanFunction.from_truth((2, 3), truth)).name
-        return MachineTable(norm, ancilla, tuple(rows), 1, (2, 3), connective)
+        return MachineTable(norm, tuple(rows), 1, (2, 3), connective)
 
-    alpha_i = _initial_angle(ancilla, cfg)
-    x3 = normalize(norm, alpha_i, cfg)
+    x3 = normalize(norm, 0.0, cfg)
     rows = []
     for ps in PROBE_STATES:
         out = normalize(norm, equilibrium_angle(ps, cfg), cfg)
         rows.append((Word(ps.bits + (x3,)), Word(ps.bits + (out,))))
     truth = tuple(out.bits[2] for _, out in rows)
     connective = classify(BooleanFunction.from_truth((1, 2), truth)).name
-    return MachineTable(norm, ancilla, tuple(rows), 3, (1, 2), connective)
+    return MachineTable(norm, tuple(rows), 3, (1, 2), connective)
 
 
 #: Which gate restriction each normalization is expected to reproduce.
@@ -167,6 +159,13 @@ CONCLUSIONS: dict[NormalizationId, tuple[GateId, dict[int, int], Connective]] = 
     NormalizationId.U3_BAR: (GateId.X, {3: 1}, Connective.NXOR),
     NormalizationId.U4: (GateId.I, {3: 1}, Connective.IMPLIES_AB),
     NormalizationId.DELTA_U1: (GateId.CL, {1: 0}, Connective.XOR),
+}
+
+#: Connectives each gate must realize by fixing ancilla lines.
+DERIVED_SETS: dict[GateId, frozenset[Connective]] = {
+    GateId.CL: frozenset(map(Connective, ["XOR", "OR", "NOR", "NOT", "FANOUT"])),
+    GateId.TOFFOLI: frozenset(map(Connective, ["XOR", "AND", "NAND", "NOT", "FANOUT"])),
+    GateId.X: frozenset(map(Connective, ["XOR", "NXOR", "NOT", "FANOUT"])),
 }
 
 
@@ -193,7 +192,7 @@ def verify_conclusion(
         cfg = DeviceConfig(distinguishable=(norm is NormalizationId.U4))
     gate_id, assignments, expected = CONCLUSIONS[norm]
     fixing = Fixing.of(3, assignments)
-    table = machine_table(norm, Ancilla.VERTICAL, cfg)
+    table = machine_table(norm, cfg)
 
     gate_rows = {
         fixing.full_word(free.bits): out for free, out in restrict(build(gate_id), fixing)
@@ -230,3 +229,25 @@ def coherence_check(cfg: DeviceConfig | None = None) -> CoherenceResult:
         rows.append(CoherenceRow(ps, normalize(NormalizationId.U1, alpha_o, cfg),
                                  delta_normalize(0.0, alpha_o)))
     return CoherenceResult(tuple(rows), all(r.u1_out == r.delta for r in rows))
+
+
+@dataclass(frozen=True)
+class CheckRecord:
+    label: str
+    passed: bool
+
+
+def verify_all() -> tuple[CheckRecord, ...]:
+    """Every verified claim: conclusions, coherence and derived sets, one record each."""
+    records = [
+        CheckRecord(f"conclusion {v.norm.value:6s} -> {v.gate_id.value} "
+                    f"{v.fixing.label()} -> {v.expected.value}", v.passed)
+        for v in verify_all_conclusions()
+    ]
+    records.append(CheckRecord("coherence u1(out) = |u1(in) - u1(out)| at vertical start",
+                               coherence_check().passed))
+    for gate_id, wanted in DERIVED_SETS.items():
+        names = ", ".join(sorted(c.value for c in wanted))
+        records.append(CheckRecord(f"derived-set {gate_id.value} includes {{{names}}}",
+                                   wanted <= derived_connectives(build(gate_id)).names))
+    return tuple(records)

@@ -8,7 +8,10 @@ import pytest
 from click.testing import CliRunner
 
 from golden import GATE_ROWS
+from revlogic import machine
 from revlogic.cli import main
+from revlogic.derivation import Connective
+from revlogic.library import GateId
 
 
 @pytest.fixture
@@ -54,6 +57,12 @@ class TestDerive:
         assert result.exit_code == 0
         assert "x3=0" in result.output and "AND" in result.output
 
+    @pytest.mark.parametrize("gate_id", ["cnot", "not"])
+    def test_gate_not_three_lines_wide_is_usage_error(self, runner, gate_id):
+        result = runner.invoke(main, ["derive", gate_id])
+        assert result.exit_code == 2
+        assert "width 3" in result.output
+
 
 class TestSimulate:
     def test_csv_histogram_counts(self, runner):
@@ -93,6 +102,15 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--input", "11", "--n", "10", option, "nan"])
         assert result.exit_code == 2
         assert "finite" in result.output
+
+    # 5e-324 is subnormal: every sample divided by it overflows to inf
+    @pytest.mark.parametrize("width", ["1e-12", "5e-324", "nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("as_json", [[], ["--json"]])
+    def test_bad_bin_width_is_usage_error(self, runner, width, as_json):
+        result = runner.invoke(main, ["simulate", "--input", "11", "--n", "10",
+                                      "--bin-width", width] + as_json)
+        assert result.exit_code == 2
+        assert "bin width" in result.output
 
 
 class TestMachine:
@@ -171,3 +189,17 @@ class TestVerifyAll:
         payload = json.loads(result.output)
         assert all(entry["passed"] for entry in payload)
         assert len(payload) == 12
+
+    def test_renders_the_catalogue(self, runner):
+        result = runner.invoke(main, ["verify-all"])
+        assert result.output.splitlines() == [f"PASS  {r.label}" for r in machine.verify_all()]
+
+    def test_failing_check_is_reported_and_exits_one(self, runner, monkeypatch):
+        monkeypatch.setitem(machine.DERIVED_SETS, GateId.X, frozenset({Connective.AND}))
+        label = "derived-set x includes {AND}"
+        result = runner.invoke(main, ["verify-all"])
+        assert result.exit_code == 1
+        assert f"FAIL  {label}" in result.output.splitlines()
+        result = runner.invoke(main, ["verify-all", "--json"])
+        assert result.exit_code == 1
+        assert {"check": label, "passed": False} in json.loads(result.output)

@@ -9,14 +9,12 @@ from revlogic.device import (
     DA,
     DD,
     PROBE_STATES,
-    AngleSample,
     DeviceConfig,
     ProbeState,
     encode_symbolic,
     equilibrium_angle,
     run_histogram,
     sample_many,
-    sample_output,
 )
 
 DISTINGUISHABLE = DeviceConfig(distinguishable=True)
@@ -85,8 +83,8 @@ class TestEquilibriumAngle:
 class TestSampling:
     def test_zero_noise_limit_at_dd(self):
         cfg = DeviceConfig(sigma=1e-12)
-        sample = sample_output(DD, 0.0, cfg, np.random.default_rng(0))
-        assert sample.output_angle == pytest.approx(0.0, abs=1e-10)
+        (angle,) = sample_many(DD, 1, cfg, np.random.default_rng(0))
+        assert angle == pytest.approx(0.0, abs=1e-10)
 
     def test_aa_samples_confined_to_six_sigma(self):
         cfg = DeviceConfig(sigma=0.05)
@@ -99,12 +97,6 @@ class TestSampling:
         values = sample_many(DA, 10_000, cfg, np.random.default_rng(11))
         assert abs(values.mean() - cfg.alpha1) <= 3 * cfg.sigma / 100
 
-    def test_initial_angle_does_not_shift_the_output(self):
-        cfg = DeviceConfig()
-        a = sample_many(DA, 100, cfg, np.random.default_rng(5), alpha_i=0.0)
-        b = sample_many(DA, 100, cfg, np.random.default_rng(5), alpha_i=0.93)
-        assert np.array_equal(a, b)
-
     def test_identical_seeds_identical_streams(self):
         cfg = DeviceConfig()
         a = sample_many(AA, 500, cfg, np.random.default_rng(123))
@@ -115,12 +107,6 @@ class TestSampling:
         cfg = DeviceConfig(sigma=0.4, alpha_hat1=0.5, alpha_tilde1=0.9, alpha2=1.3)
         values = sample_many(DD, 5000, cfg, np.random.default_rng(9))
         assert values.min() >= 0.0
-
-    def test_angle_sample_validation(self):
-        with pytest.raises(ValueError):
-            AngleSample(DD, 0.0, -0.1)
-        with pytest.raises(ValueError):
-            sample_output(DD, -1.0, DeviceConfig(), np.random.default_rng(0))
 
 
 class TestExp3Ordering:
@@ -162,6 +148,11 @@ class TestRunHistogram:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             run_histogram(DD, 0)
+
+    @pytest.mark.parametrize("n,bin_width", [(1000, 1e-7), (1, 1e-17), (1, 1e-300)])
+    def test_rejects_bin_widths_too_fine_for_the_samples(self, n, bin_width):
+        with pytest.raises(ValueError, match="too fine"):
+            run_histogram(AA, n, bin_width=bin_width)
 
 
 def test_probe_states_in_encoding_order():

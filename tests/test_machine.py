@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from golden import RESTRICTION_ROWS
+from revlogic.core import Word
 from revlogic.derivation import Connective, Fixing, restrict
-from revlogic.device import AA, DD, PROBE_STATES, DeviceConfig, equilibrium_angle, sample_many
+from revlogic.device import AA, DA, DD, PROBE_STATES, DeviceConfig, equilibrium_angle, sample_many
 from revlogic.library import GateId, build
 from revlogic.machine import (
     CONCLUSIONS,
-    Ancilla,
     NormalizationId,
     U4Unclassifiable,
     coherence_check,
@@ -17,6 +17,7 @@ from revlogic.machine import (
     machine_table,
     normalize,
     u4_tolerance,
+    verify_all,
     verify_all_conclusions,
     verify_conclusion,
 )
@@ -132,8 +133,13 @@ class TestMachineTable:
     def test_deflected_ancilla_breaks_the_nor_reading(self):
         # starting deflected, u1 labels the ancilla 1 but the device still
         # relaxes DD to vertical: the result is not the line-3=1 restriction
-        table = machine_table("u1", Ancilla.DEFLECTED)
-        rows = {win: wout for win, wout in table.rows}
+        cfg = DeviceConfig()
+        x3 = normalize("u1", equilibrium_angle(DA, cfg))
+        assert x3 == 1
+        rows = {
+            Word(ps.bits + (x3,)): Word(ps.bits + (normalize("u1", equilibrium_angle(ps, cfg)),))
+            for ps in PROBE_STATES
+        }
         gate_rows = {
             Fixing.of(3, {3: 1}).full_word(f.bits): out
             for f, out in restrict(build(GateId.CL), Fixing.of(3, {3: 1}))
@@ -165,6 +171,12 @@ class TestVerdicts:
         verdicts = verify_all_conclusions()
         assert len(verdicts) == len(CONCLUSIONS) == 8
         assert all(v.passed for v in verdicts)
+
+    def test_catalogue_has_twelve_unique_passing_records(self):
+        records = verify_all()
+        assert len(records) == 12
+        assert all(r.passed for r in records)
+        assert len({r.label for r in records}) == 12
 
     def test_delta_matches_cl_with_line1_fixed(self):
         verdict = verify_conclusion("delta")
