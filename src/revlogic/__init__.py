@@ -18,7 +18,6 @@ from .derivation import (
 )
 from .device import (
     DeviceConfig,
-    Probe,
     ProbeState,
     encode_symbolic,
     equilibrium_angle,
@@ -51,7 +50,7 @@ __all__ = [
     "Gate", "GateFlags", "Word", "compose", "identity_gate", "make_gate",
     "BooleanFunction", "Classification", "Connective", "Fixing",
     "classify", "derived_connectives", "output_function", "restrict",
-    "DeviceConfig", "Probe", "ProbeState", "encode_symbolic",
+    "DeviceConfig", "ProbeState", "encode_symbolic",
     "equilibrium_angle", "run_histogram", "sample_many",
     "BOLTZMANN_JK", "Distribution", "EnergyReport", "info_loss",
     "landauer_energy", "shannon_entropy", "transfer_table",

@@ -69,9 +69,6 @@ class Word:
         """Parse a bitstring like "011"; character 0 is line x1."""
         return cls(tuple(int(c) for c in text))
 
-    def hamming_weight(self) -> int:
-        return sum(self.bits)
-
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping
 
-from .core import Gate, Word
+from .core import Gate, Word, all_words
 
 
 class InvalidFixing(ValueError):
@@ -72,18 +72,32 @@ class Fixing:
         return ",".join(f"x{line}={bit}" for line, bit in self.fixed)
 
 
+def _subset_codes(base: int, weights: list[int]) -> list[int]:
+    """``base`` plus every subset of ``weights``, the first weight most significant."""
+    codes = [base]
+    for weight in weights:
+        codes = [code | bit for code in codes for bit in (0, weight)]
+    return codes
+
+
+def input_codes(gate: Gate, fixing: Fixing) -> tuple[int, ...]:
+    """Encodings of the gate inputs a fixing selects, in free-input encoding order.
+
+    The one place a fixing's width is checked against the gate's."""
+    if fixing.width != gate.width:
+        raise InvalidFixing(f"fixing is for width {fixing.width}, gate has {gate.width}")
+    base = sum(bit << (gate.width - line) for line, bit in fixing.fixed)
+    return tuple(_subset_codes(base, [1 << (gate.width - line) for line in fixing.free]))
+
+
 def restrict(gate: Gate, fixing: Fixing) -> tuple[tuple[Word, Word], ...]:
     """Rows (free-input word, full output word), in free-input encoding order.
 
     The full output is kept on purpose: within a restricted table all output
     rows stay distinct, the reversibility evidence inherited from bijectivity.
     """
-    if fixing.width != gate.width:
-        raise InvalidFixing(f"fixing is for width {fixing.width}, gate has {gate.width}")
-    rows = []
-    for free_bits in itertools.product((0, 1), repeat=len(fixing.free)):
-        rows.append((Word(free_bits), gate.apply(fixing.full_word(free_bits))))
-    return tuple(rows)
+    codes = input_codes(gate, fixing)
+    return tuple(zip(all_words(len(fixing.free)), map(gate.table.__getitem__, codes)))
 
 
 @dataclass(frozen=True)
@@ -120,7 +134,8 @@ def output_function(gate: Gate, fixing: Fixing, line: int) -> BooleanFunction:
     """Output line ``line`` (1-based) as a Boolean function of the free inputs."""
     if not 1 <= line <= gate.width:
         raise InvalidFixing(f"output line {line} outside 1..{gate.width}")
-    truth = tuple(out.bits[line - 1] for _, out in restrict(gate, fixing))
+    shift = gate.width - line
+    truth = tuple(gate.perm[code] >> shift & 1 for code in input_codes(gate, fixing))
     return BooleanFunction.from_truth(fixing.free, truth)
 
 
@@ -145,13 +160,11 @@ class Connective(str, Enum):
     NIMPLIES_BA = "NIMPLIES_BA"
     ID = "ID"
     NOT = "NOT"
-    CONST0_1 = "CONST0_1"
-    CONST1_1 = "CONST1_1"
     FANOUT = "FANOUT"
     RAW = "RAW"
 
 
-# Canonical truth vector -> name, a bijection at each arity.
+# Canonical two-input truth vector -> name, a bijection.
 BINARY_NAMES: dict[tuple[int, ...], Connective] = {
     (0, 0, 0, 0): Connective.CONST0,
     (1, 1, 1, 1): Connective.CONST1,
@@ -169,13 +182,6 @@ BINARY_NAMES: dict[tuple[int, ...], Connective] = {
     (1, 0, 1, 1): Connective.IMPLIES_BA,
     (0, 0, 1, 0): Connective.NIMPLIES_AB,
     (0, 1, 0, 0): Connective.NIMPLIES_BA,
-}
-
-UNARY_NAMES: dict[tuple[int, ...], Connective] = {
-    (0, 0): Connective.CONST0_1,
-    (1, 1): Connective.CONST1_1,
-    (0, 1): Connective.ID,
-    (1, 0): Connective.NOT,
 }
 
 
@@ -212,17 +218,9 @@ def classify(bf: BooleanFunction) -> Classification:
     if len(essential) > 2:
         return Classification(Connective.RAW, essential, ignored, bf.truth)
 
-    positions = [bf.inputs.index(line) for line in essential]
-    projected = []
-    for ess_bits in itertools.product((0, 1), repeat=len(essential)):
-        bits = [0] * bf.arity
-        for pos, bit in zip(positions, ess_bits):
-            bits[pos] = bit
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | b
-        projected.append(bf.truth[idx])
-    truth = tuple(projected)
+    # Non-essential inputs read as 0: the function does not depend on them.
+    weights = [1 << (bf.arity - 1 - bf.inputs.index(line)) for line in essential]
+    truth = tuple(map(bf.truth.__getitem__, _subset_codes(0, weights)))
 
     if len(essential) == 0:
         name = Connective.CONST1 if truth[0] else Connective.CONST0

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -23,41 +22,36 @@ DEFAULT_BIN_WIDTH = 0.02
 # Refuse samples spanning more bin widths than this, not GiB of edges and counts.
 MAX_BINS = 100_000
 
+# Refuse more trials than this per histogram: each costs 8 bytes or more of samples.
+MAX_TRIALS = 10**7
+
 # Samples are kept within this many standard deviations of the equilibrium
 # angle (and above 0) by resampling, so every histogram has bounded support.
 SUPPORT_SIGMAS = 6.0
 
 
-class Probe(str, Enum):
-    D = "D"  # off, no voltage applied
-    A = "A"  # on, voltage applied
-
-
 @dataclass(frozen=True)
 class ProbeState:
-    p1: Probe
-    p2: Probe
+    """A probe pair as bits: 0 = off (D, no voltage), 1 = on (A, voltage
+    applied); position 0 is probe 1."""
+
+    bits: tuple[int, int]
 
     @classmethod
     def from_bits(cls, text: str) -> "ProbeState":
-        """Parse "01"-style input: 0 = off (D), 1 = on (A); position 0 = probe 1."""
+        """Parse "01"-style input."""
         if len(text) != 2 or any(c not in "01" for c in text):
             raise ValueError(f"probe state must be two bits, got {text!r}")
-        return cls(Probe.A if text[0] == "1" else Probe.D,
-                   Probe.A if text[1] == "1" else Probe.D)
-
-    @property
-    def bits(self) -> tuple[int, int]:
-        return (int(self.p1 is Probe.A), int(self.p2 is Probe.A))
+        return cls((int(text[0]), int(text[1])))
 
     def __str__(self) -> str:
-        return self.p1.value + self.p2.value
+        return "".join("DA"[bit] for bit in self.bits)
 
 
-DD = ProbeState(Probe.D, Probe.D)
-DA = ProbeState(Probe.D, Probe.A)
-AD = ProbeState(Probe.A, Probe.D)
-AA = ProbeState(Probe.A, Probe.A)
+DD = ProbeState((0, 0))
+DA = ProbeState((0, 1))
+AD = ProbeState((1, 0))
+AA = ProbeState((1, 1))
 
 #: All probe states in encoding order of their bits (00, 01, 10, 11).
 PROBE_STATES = (DD, DA, AD, AA)
@@ -180,8 +174,8 @@ def run_histogram(
     bin_width: float = DEFAULT_BIN_WIDTH,
 ) -> Histogram:
     """Histogram of ``n`` seeded device shots."""
-    if n < 1:
-        raise ValueError("need at least one trial")
+    if not 1 <= n <= MAX_TRIALS:
+        raise ValueError(f"trials must be 1..{MAX_TRIALS}, got {n}")
     if not 0 < bin_width < math.inf:
         raise ValueError(f"bin width must be finite and positive, got {bin_width}")
     cfg = cfg or DeviceConfig()

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Hashable, Mapping
 
 from .core import Gate, Word, all_words
-from .derivation import Fixing, restrict
+from .derivation import Fixing, input_codes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Boltzmann constant, exact SI value, J/K.
 BOLTZMANN_JK = 1.380649e-23
@@ -57,10 +58,6 @@ class Distribution:
         raw = rng.random(1 << width)
         raw /= raw.sum()
         return cls(dict(zip(all_words(width), raw.tolist())))
-
-    @property
-    def support(self) -> tuple[Hashable, ...]:
-        return tuple(o for o, p in self.probabilities.items() if p > 0)
 
 
 def shannon_entropy(dist: Distribution) -> float:
@@ -138,9 +135,8 @@ def transfer_table(
     if fixing is None:
         inputs, outputs = words, gate.perm
     else:
-        rows = restrict(gate, fixing)
-        inputs = [fixing.full_word(free.bits) for free, _ in rows]
-        outputs = [out.index for _, out in rows]
+        codes = input_codes(gate, fixing)
+        inputs, outputs = map(words.__getitem__, codes), map(gate.perm.__getitem__, codes)
     if project_line is None:
         return dict(zip(inputs, map(words.__getitem__, outputs)))
     if not 1 <= project_line <= gate.width:

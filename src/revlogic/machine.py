@@ -24,16 +24,16 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Word
+from .core import Word, all_words
 from .derivation import (
     BooleanFunction,
     Connective,
     Fixing,
     classify,
     derived_connectives,
-    restrict,
+    input_codes,
 )
-from .device import DA, PROBE_STATES, DeviceConfig, Probe, ProbeState, equilibrium_angle
+from .device import DA, PROBE_STATES, DeviceConfig, ProbeState, equilibrium_angle
 from .library import GateId, build
 
 #: Zero-angle tolerance for noiseless (equilibrium) angles. Noisy samples
@@ -126,27 +126,22 @@ def machine_table(norm: "NormalizationId | str", cfg: DeviceConfig | None = None
     cfg = cfg or DeviceConfig()
 
     if norm is NormalizationId.DELTA_U1:
-        # Probe 1 held off; probe 2 and the initial angle are the inputs.
-        rows = []
-        for p2 in (Probe.D, Probe.A):
+        # Probe 1 held off; probe 2 and the initial angle are the inputs. The
+        # vertical start reads x3 = 0, so rows come out in input-encoding order.
+        inputs, truth = [], []
+        for p2 in (0, 1):
             for alpha_i in (0.0, equilibrium_angle(DA, cfg)):
-                ps = ProbeState(Probe.D, p2)
-                x3 = normalize(NormalizationId.U1, alpha_i)
-                out = delta_normalize(alpha_i, equilibrium_angle(ps, cfg))
-                rows.append((Word((0, ps.bits[1], x3)), Word((0, ps.bits[1], out))))
-        rows.sort(key=lambda row: row[0].index)
-        truth = tuple(out.bits[2] for _, out in rows)
-        connective = classify(BooleanFunction.from_truth((2, 3), truth)).name
-        return MachineTable(norm, tuple(rows), 1, (2, 3), connective)
-
-    x3 = normalize(norm, 0.0, cfg)
-    rows = []
-    for ps in PROBE_STATES:
-        out = normalize(norm, equilibrium_angle(ps, cfg), cfg)
-        rows.append((Word(ps.bits + (x3,)), Word(ps.bits + (out,))))
-    truth = tuple(out.bits[2] for _, out in rows)
-    connective = classify(BooleanFunction.from_truth((1, 2), truth)).name
-    return MachineTable(norm, tuple(rows), 3, (1, 2), connective)
+                inputs.append((0, p2, normalize(NormalizationId.U1, alpha_i)))
+                truth.append(delta_normalize(alpha_i, equilibrium_angle(ProbeState((0, p2)), cfg)))
+        ancilla_line, free_lines = 1, (2, 3)
+    else:
+        x3 = normalize(norm, 0.0, cfg)
+        inputs = [ps.bits + (x3,) for ps in PROBE_STATES]
+        truth = [normalize(norm, equilibrium_angle(ps, cfg), cfg) for ps in PROBE_STATES]
+        ancilla_line, free_lines = 3, (1, 2)
+    rows = tuple((Word(bits), Word(bits[:2] + (out,))) for bits, out in zip(inputs, truth))
+    connective = classify(BooleanFunction.from_truth(free_lines, tuple(truth))).name
+    return MachineTable(norm, rows, ancilla_line, free_lines, connective)
 
 
 #: Which gate restriction each normalization is expected to reproduce.
@@ -194,9 +189,8 @@ def verify_conclusion(
     fixing = Fixing.of(3, assignments)
     table = machine_table(norm, cfg)
 
-    gate_rows = {
-        fixing.full_word(free.bits): out for free, out in restrict(build(gate_id), fixing)
-    }
+    gate = build(gate_id)
+    gate_rows = {all_words(3)[code]: gate.table[code] for code in input_codes(gate, fixing)}
     machine_rows = dict(table.rows)
     passed = machine_rows == gate_rows and table.connective is expected
     return ConclusionVerdict(norm, gate_id, fixing, expected, table, passed)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -14,9 +15,22 @@ from revlogic.derivation import Connective
 from revlogic.library import GateId
 
 
+#: Exit code and exact stdout of the table-printing verbs, one case per
+#: invocation. simulate (a numpy stream) and energy (libm float digits) are
+#: checked numerically instead.
+STDOUT_CASES = json.loads(Path(__file__).with_name("cli_stdout.json").read_text("utf-8"))
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+@pytest.mark.parametrize("case", STDOUT_CASES, ids=[c["args"] for c in STDOUT_CASES])
+def test_stdout_is_byte_identical_to_the_pinned_output(runner, case):
+    result = runner.invoke(main, case["args"].split())
+    assert result.exit_code == case["exit_code"]
+    assert result.stdout_bytes == case["stdout"].encode("utf-8")
 
 
 class TestGates:
@@ -96,6 +110,14 @@ class TestSimulate:
     def test_zero_trials_usage_error(self, runner):
         result = runner.invoke(main, ["simulate", "--input", "00", "--n", "0"])
         assert result.exit_code == 2
+
+    # one past device.MAX_TRIALS, and a count that would need TiB of samples
+    @pytest.mark.parametrize("trials", ["10000001", "1000000000000"])
+    def test_too_many_trials_is_usage_error(self, runner, trials):
+        result = runner.invoke(main, ["simulate", "--input", "11", "--n", trials])
+        assert result.exit_code == 2
+        assert "trials must be 1..10000000" in result.output
+        assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("option", ["--sigma", "--alpha2"])
     def test_non_finite_config_is_usage_error(self, runner, option):

@@ -8,7 +8,6 @@ from golden import RESTRICTION_ROWS
 from revlogic.core import Word, identity_gate
 from revlogic.derivation import (
     BINARY_NAMES,
-    UNARY_NAMES,
     BooleanFunction,
     Connective,
     Fixing,
@@ -126,6 +125,17 @@ class TestClassify:
         assert cls.essential == (3,)
         assert cls.ignored == (2,)
 
+    def test_truth_follows_ascending_lines_whatever_the_input_order(self):
+        # inputs (2, 1): swapping the two bits of each index gives the (1, 2) truth
+        for truth in itertools.product((0, 1), repeat=4):
+            swapped = tuple(truth[(i >> 1) | (i & 1) << 1] for i in range(4))
+            got = classify(BooleanFunction.from_truth((2, 1), truth))
+            want = classify(BooleanFunction.from_truth((1, 2), swapped))
+            assert (got.name, got.essential, got.truth) == (want.name, want.essential, want.truth)
+        cls = classify(BooleanFunction.from_truth((2, 1), (0, 0, 1, 0)))
+        assert cls.name is Connective.NIMPLIES_BA
+        assert cls.truth == (0, 1, 0, 0)
+
     def test_three_essential_inputs_stay_raw(self):
         bf = output_function(build("cl"), Fixing(3, ()), 3)
         cls = classify(bf)
@@ -141,10 +151,6 @@ class TestClassify:
         assert len(BINARY_NAMES) == 16
         assert len(set(BINARY_NAMES.values())) == 16
         assert set(BINARY_NAMES) == set(itertools.product((0, 1), repeat=4))
-
-    def test_unary_name_table_is_a_bijection(self):
-        assert len(UNARY_NAMES) == 4
-        assert len(set(UNARY_NAMES.values())) == 4
 
 
 class TestDerivedConnectives:

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from revlogic import device
 from revlogic.device import (
     AA,
     AD,
     DA,
     DD,
+    MAX_TRIALS,
     PROBE_STATES,
     DeviceConfig,
     ProbeState,
@@ -26,6 +28,8 @@ class TestProbeState:
         assert ProbeState.from_bits("10") == AD
         assert str(AD) == "AD"
         assert AD.bits == (1, 0)
+        assert [str(ps) for ps in PROBE_STATES] == ["DD", "DA", "AD", "AA"]
+        assert [ProbeState.from_bits(f"{i:02b}") for i in range(4)] == list(PROBE_STATES)
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -153,6 +157,24 @@ class TestRunHistogram:
     def test_rejects_bin_widths_too_fine_for_the_samples(self, n, bin_width):
         with pytest.raises(ValueError, match="too fine"):
             run_histogram(AA, n, bin_width=bin_width)
+
+    @pytest.mark.parametrize("n", [0, -1, MAX_TRIALS + 1, 10**12])
+    def test_rejects_trial_counts_outside_the_cap_before_sampling(self, monkeypatch, n):
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking n")
+        monkeypatch.setattr(device, "sample_many", no_sampling)
+        with pytest.raises(ValueError, match="trials must be"):
+            run_histogram(DD, n)
+
+    def test_cap_itself_is_accepted(self, monkeypatch):
+        class Sampled(Exception):
+            pass
+
+        def stop(ps, n, cfg, rng):
+            raise Sampled(n)
+        monkeypatch.setattr(device, "sample_many", stop)
+        with pytest.raises(Sampled):
+            run_histogram(DD, MAX_TRIALS)
 
 
 def test_probe_states_in_encoding_order():

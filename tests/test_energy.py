@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revlogic.core import Word
-from revlogic.derivation import Fixing
+from revlogic.derivation import Fixing, InvalidFixing
 from revlogic.energy import (
     BOLTZMANN_JK,
     Distribution,
@@ -94,6 +94,10 @@ class TestInfoLoss:
             dists += [Distribution.random_words(gate.width, rng) for _ in range(10)]
             for dist in dists:
                 assert abs(info_loss(table, dist).erased_bits) <= 1e-12, gate_id
+
+    def test_fixing_of_another_width_is_rejected(self):
+        with pytest.raises(InvalidFixing, match="fixing is for width 3, gate has 2"):
+            transfer_table(build("cnot"), Fixing.of(3, {3: 0}))
 
     def test_table_must_cover_support(self):
         with pytest.raises(InvalidDistribution):

@@ -6,6 +6,7 @@ true and false sides; fixed width-16 cases cover the widest gates. Each
 property runs one reference operation, to stay well inside the default
 per-example deadline at width 12.
 """
+import itertools
 import random
 
 import numpy as np
@@ -24,7 +25,7 @@ from revlogic.core import (
     compose,
     make_gate,
 )
-from revlogic.derivation import Fixing
+from revlogic.derivation import Fixing, output_function, restrict
 from revlogic.energy import Distribution, info_loss, transfer_table
 
 KINDS = ("random", "involution", "conservative")
@@ -113,6 +114,18 @@ def test_json_matches_reference(pair):
     assert Gate.loads(gate.dumps()) == gate
 
 
+def assert_fixing_matches_reference(gate, table, fixing, line):
+    """Restriction, transfer tables and output function under a fixing agree
+    with the reference rows ``full_word(b) -> table[index(full_word(b))]``."""
+    rows = ref.transfer_table(table, fixing)
+    free_words = [Word(bits) for bits in itertools.product((0, 1), repeat=len(fixing.free))]
+    assert restrict(gate, fixing) == tuple(zip(free_words, rows.values()))
+    assert transfer_table(gate, fixing) == rows
+    column = {word: out.bits[line - 1] for word, out in rows.items()}
+    assert transfer_table(gate, fixing, line) == column
+    assert output_function(gate, fixing, line).truth == tuple(column.values())
+
+
 @settings(max_examples=30)
 @given(gates, st.data())
 def test_transfer_tables_match_reference(pair, data):
@@ -121,8 +134,10 @@ def test_transfer_tables_match_reference(pair, data):
     assert transfer_table(gate) == ref.transfer_table(table)
     assert transfer_table(gate, project_line=line) == ref.transfer_table(table, project_line=line)
     if gate.width > 1:
-        fixing = Fixing.of(gate.width, {line: data.draw(st.integers(0, 1))})
-        assert transfer_table(gate, fixing, line) == ref.transfer_table(table, fixing, line)
+        lines = data.draw(st.sets(st.integers(1, gate.width), min_size=1,
+                                  max_size=min(gate.width - 1, 3)))
+        fixing = Fixing.of(gate.width, {fixed: data.draw(st.integers(0, 1)) for fixed in lines})
+        assert_fixing_matches_reference(gate, table, fixing, line)
 
 
 @settings(max_examples=30)
@@ -177,8 +192,7 @@ def test_width_16_json_and_transfer_tables(wide):
     assert Gate.loads(gate.dumps()) == gate
     assert transfer_table(gate) == ref.transfer_table(table)
     assert transfer_table(gate, project_line=5) == ref.transfer_table(table, project_line=5)
-    fixing = Fixing.of(16, {2: 1, 9: 0})
-    assert transfer_table(gate, fixing, 16) == ref.transfer_table(table, fixing, 16)
+    assert_fixing_matches_reference(gate, table, Fixing.of(16, {2: 1, 9: 0}), 16)
     report = info_loss(transfer_table(gate), Distribution.uniform_words(16))
     assert abs(report.erased_bits) <= 1e-12
 
