@@ -197,8 +197,8 @@ def make_gate(width: int, outputs: Iterable["Word | str | Sequence[int]"], name:
     return Gate(width, tuple(as_word(out) for out in rows), name)
 
 
-def identity_gate(width: int, name: str = "") -> Gate:
-    return Gate(width, all_words(width), name)
+def identity_gate(width: int) -> Gate:
+    return Gate(width, all_words(width))
 
 
 def compose(first: Gate, second: Gate) -> Gate:

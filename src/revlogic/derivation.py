@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Mapping
 
 from .core import Gate, Word, all_words
@@ -48,7 +49,7 @@ class Fixing:
     def of(cls, width: int, assignments: Mapping[int, int]) -> "Fixing":
         return cls(width, tuple(assignments.items()))
 
-    @property
+    @cached_property
     def free(self) -> tuple[int, ...]:
         fixed_lines = {line for line, _ in self.fixed}
         return tuple(line for line in range(1, self.width + 1) if line not in fixed_lines)
@@ -252,10 +253,10 @@ class DerivedConnectives:
     names: frozenset[Connective]
 
 
-def iter_fixings(width: int, max_fixed: int = 2) -> Iterator[Fixing]:
-    """All fixings of up to ``max_fixed`` lines, in lexicographic order of
+def iter_fixings(width: int) -> Iterator[Fixing]:
+    """All fixings of up to two lines, in lexicographic order of
     (fixed-line set, fixed values)."""
-    for count in range(0, max_fixed + 1):
+    for count in range(3):
         for lines in itertools.combinations(range(1, width + 1), count):
             for values in itertools.product((0, 1), repeat=count):
                 yield Fixing(width, tuple(zip(lines, values)))

@@ -37,6 +37,11 @@ class ProbeState:
 
     bits: tuple[int, int]
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.bits, tuple) and len(self.bits) == 2
+                and all(isinstance(bit, int) and bit in (0, 1) for bit in self.bits)):
+            raise ValueError(f"probe state must be a pair of bits 0/1, got {self.bits!r}")
+
     @classmethod
     def from_bits(cls, text: str) -> "ProbeState":
         """Parse "01"-style input."""

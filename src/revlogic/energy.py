@@ -38,10 +38,11 @@ class Distribution:
     probabilities: Mapping[Hashable, float]
 
     def __post_init__(self) -> None:
-        if any(p < 0 for p in self.probabilities.values()):
+        # `not p >= 0` and `not d <= tol` hold for NaN, unlike `p < 0` and `d > tol`.
+        if not all(p >= 0 for p in self.probabilities.values()):
             raise InvalidDistribution("negative probability")
         total = sum(self.probabilities.values())
-        if abs(total - 1.0) > _SUM_TOL:
+        if not abs(total - 1.0) <= _SUM_TOL:
             raise InvalidDistribution(f"probabilities sum to {total}, not 1")
 
     @classmethod

@@ -36,8 +36,8 @@ from .derivation import (
 from .device import DA, PROBE_STATES, DeviceConfig, ProbeState, equilibrium_angle
 from .library import GateId, build
 
-#: Zero-angle tolerance for noiseless (equilibrium) angles. Noisy samples
-#: should be classified with ``zero_tol=3 * cfg.sigma`` instead.
+#: Zero-angle tolerance of u1 and u3, for noiseless (equilibrium) angles.
+#: Noisy samples are thresholded by the caller, e.g. at ``3 * cfg.sigma``.
 ZERO_TOL = 1e-9
 
 
@@ -66,7 +66,6 @@ def normalize(
     norm: "NormalizationId | str",
     alpha: float,
     cfg: DeviceConfig | None = None,
-    zero_tol: float = ZERO_TOL,
 ) -> int:
     """Apply one angle-to-bit normalization function."""
     norm = NormalizationId(norm)
@@ -85,21 +84,20 @@ def normalize(
                 return bit
         raise U4Unclassifiable(f"angle {alpha} is not near any configured rest angle")
     if norm in (NormalizationId.U1, NormalizationId.U1_BAR):
-        value = 0 if alpha <= zero_tol else 1
+        value = 0 if alpha <= ZERO_TOL else 1
         return value if norm is NormalizationId.U1 else 1 - value
     if norm in (NormalizationId.U2, NormalizationId.U2_BAR):
         value = 0 if alpha <= 1 else 1
         return value if norm is NormalizationId.U2 else 1 - value
-    value = 1 if zero_tol < alpha <= 1 else 0
+    value = 1 if ZERO_TOL < alpha <= 1 else 0
     return value if norm is NormalizationId.U3 else 1 - value
 
 
-def delta_normalize(alpha_i: float, alpha_o: float, zero_tol: float = ZERO_TOL) -> int:
+def delta_normalize(alpha_i: float, alpha_o: float) -> int:
     """|u1(alpha_i) - u1(alpha_o)|: 1 exactly when the tip switches between
     vertical and deflected."""
     return abs(
-        normalize(NormalizationId.U1, alpha_i, zero_tol=zero_tol)
-        - normalize(NormalizationId.U1, alpha_o, zero_tol=zero_tol)
+        normalize(NormalizationId.U1, alpha_i) - normalize(NormalizationId.U1, alpha_o)
     )
 
 
@@ -196,8 +194,8 @@ def verify_conclusion(
     return ConclusionVerdict(norm, gate_id, fixing, expected, table, passed)
 
 
-def verify_all_conclusions(cfg: DeviceConfig | None = None) -> tuple[ConclusionVerdict, ...]:
-    return tuple(verify_conclusion(norm, cfg) for norm in NormalizationId)
+def verify_all_conclusions() -> tuple[ConclusionVerdict, ...]:
+    return tuple(verify_conclusion(norm) for norm in NormalizationId)
 
 
 @dataclass(frozen=True)
@@ -213,14 +211,13 @@ class CoherenceResult:
     passed: bool
 
 
-def coherence_check(cfg: DeviceConfig | None = None) -> CoherenceResult:
+def coherence_check() -> CoherenceResult:
     """With the tip initially vertical, u1 of the output angle and the delta
-    form must agree on all four probe inputs."""
-    cfg = cfg or DeviceConfig()
+    form must agree on all four probe inputs of the default device."""
     rows = []
     for ps in PROBE_STATES:
-        alpha_o = equilibrium_angle(ps, cfg)
-        rows.append(CoherenceRow(ps, normalize(NormalizationId.U1, alpha_o, cfg),
+        alpha_o = equilibrium_angle(ps)
+        rows.append(CoherenceRow(ps, normalize(NormalizationId.U1, alpha_o),
                                  delta_normalize(0.0, alpha_o)))
     return CoherenceResult(tuple(rows), all(r.u1_out == r.delta for r in rows))
 

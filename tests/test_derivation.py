@@ -28,6 +28,11 @@ class TestFixing:
         assert fixing.free == (1, 2)
         assert fixing.assignments == {3: 0}
 
+    def test_reading_free_leaves_equality_and_hash_alone(self):
+        read, unread = Fixing.of(3, {3: 0}), Fixing.of(3, {3: 0})
+        assert read.free is read.free
+        assert read == unread and hash(read) == hash(unread) and repr(read) == repr(unread)
+
     def test_full_word_merges(self):
         fixing = Fixing.of(3, {2: 1})
         assert fixing.full_word((0, 1)) == Word((0, 1, 1))

@@ -35,6 +35,11 @@ class TestProbeState:
         with pytest.raises(ValueError):
             ProbeState.from_bits("2")
 
+    @pytest.mark.parametrize("bits", [(2, 0), (0,), (0, 1, 1), (0, -1), [0, 1], (0.5, 0)])
+    def test_rejects_bits_that_are_not_a_pair_of_0_1(self, bits):
+        with pytest.raises(ValueError, match="pair of bits"):
+            ProbeState(bits)
+
     def test_symbols(self):
         assert encode_symbolic(AA) == "□"
         assert encode_symbolic(DD) == "*"
