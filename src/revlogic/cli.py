@@ -9,14 +9,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 
 import click
 
 from . import device, library, machine
 from .derivation import Fixing, InvalidFixing, derived_connectives
 from .device import DeviceConfig, ProbeState, run_histogram
-from .energy import Distribution, info_loss, transfer_table
+from .energy import Distribution, NonphysicalTemperature, info_loss, transfer_table
 from .library import build
 
 SEED_ENVVAR = "REVLOGIC_SEED"
@@ -157,26 +156,6 @@ def simulate(probe_bits, trials, seed, sigma, bin_width, distinguishable,
     click.echo(json.dumps(summary, allow_nan=False), err=True)
 
 
-def _print_machine_table(table: machine.MachineTable) -> None:
-    click.echo(f"normalization {table.norm.value} "
-               f"(ancilla line x{table.ancilla_line}, inputs "
-               + ", ".join(f"x{j}" for j in table.free_lines) + ")")
-    click.echo(_format_rows(table.rows, 3))
-    click.echo(f"connective: {table.connective.value}")
-
-
-def _machine_json(verdict: machine.ConclusionVerdict) -> dict:
-    return {
-        "normalization": verdict.norm.value,
-        "gate": verdict.gate_id.value,
-        "fixing": verdict.fixing.label(),
-        "connective": verdict.table.connective.value,
-        "expected": verdict.expected.value,
-        "rows": [[str(a), str(b)] for a, b in verdict.table.rows],
-        "passed": verdict.passed,
-    }
-
-
 @main.command("machine")
 @click.option("--norm", "norm_name",
               type=click.Choice([n.value for n in machine.NormalizationId]))
@@ -190,20 +169,23 @@ def machine_cmd(ctx, norm_name, run_all, distinguishable, as_json) -> None:
         raise click.UsageError("give exactly one of --norm or --all")
     if norm_name == machine.NormalizationId.U4.value and not distinguishable:
         raise click.UsageError("u4 needs --distinguishable")
-    # with no explicit config, verify_conclusion picks the right default per id
+    # with no explicit config, machine_table picks the right default per id
     cfg = DeviceConfig(distinguishable=True) if distinguishable else None
     norms = list(machine.NormalizationId) if run_all else [machine.NormalizationId(norm_name)]
-    verdicts = [machine.verify_conclusion(n, cfg) for n in norms]
+    records = [machine.verify_conclusion(n, cfg) for n in norms]
     if as_json:
-        click.echo(json.dumps([_machine_json(v) for v in verdicts]))
+        click.echo(json.dumps([{**r.detail, "passed": r.passed} for r in records]))
     else:
-        for verdict in verdicts:
-            _print_machine_table(verdict.table)
-            status = "PASS" if verdict.passed else "FAIL"
-            click.echo(f"{status}: matches {verdict.gate_id.value} with "
-                       f"{verdict.fixing.label()} -> {verdict.expected.value}")
+        for norm, r in zip(norms, records):
+            table = machine.machine_table(norm, cfg)
+            click.echo(f"normalization {norm.value} (ancilla line x{table.ancilla_line}, inputs "
+                       + ", ".join(f"x{j}" for j in table.free_lines) + ")")
+            click.echo(_format_rows(table.rows, 3))
+            click.echo(f"connective: {table.connective.value}")
+            click.echo(f"{'PASS' if r.passed else 'FAIL'}: matches {r.detail['gate']} with "
+                       f"{r.detail['fixing']} -> {r.detail['expected']}")
             click.echo("")
-    if not all(v.passed for v in verdicts):
+    if not all(r.passed for r in records):
         ctx.exit(1)
 
 
@@ -230,8 +212,6 @@ def _parse_fix(fix_texts: tuple[str, ...]) -> dict[int, int]:
 @click.option("--temp", "temperature", type=float, default=None, help="Kelvin.")
 def energy_cmd(gate_id, project_line, fixes, temperature) -> None:
     """Erased bits and Landauer cost of a (possibly projected) gate table."""
-    if temperature is not None and not 0 < temperature < math.inf:
-        raise click.UsageError("--temp must be a finite positive temperature in kelvin")
     gate = _gate(gate_id)
     assignments = _parse_fix(fixes)
     try:
@@ -243,7 +223,10 @@ def energy_cmd(gate_id, project_line, fixes, temperature) -> None:
     report = info_loss(table, dist)
     payload = {"gate": gate.name, "fixing": fixing.label() if fixing else None,
                "project_line": project_line}
-    payload.update(report.to_json(temperature))
+    try:
+        payload.update(report.to_json(temperature))
+    except NonphysicalTemperature as exc:
+        raise click.UsageError(str(exc)) from None
     click.echo(json.dumps(payload, allow_nan=False))
 
 
@@ -258,6 +241,9 @@ def verify_all(ctx, as_json) -> None:
     else:
         for r in records:
             click.echo(f"{'PASS' if r.passed else 'FAIL'}  {r.label}")
+            if not r.passed:
+                for key, value in r.detail.items():
+                    click.echo(f"      {key}: {json.dumps(value)}")
     if not all(r.passed for r in records):
         ctx.exit(1)
 

@@ -92,8 +92,10 @@ class DeviceConfig:
         values = (self.alpha_hat1, self.alpha_tilde1, self.alpha2, self.sigma)
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"angles and sigma must be finite, got {values}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        # alpha2 + SUPPORT_SIGMAS * sigma bounds every sample; past the float range it is inf
+        if not (self.sigma > 0 and math.isfinite(self.alpha2 + SUPPORT_SIGMAS * self.sigma)):
+            raise ValueError(f"sigma must be positive and keep the sample support "
+                             f"alpha2 + {SUPPORT_SIGMAS:g} sigma finite, got {self.sigma}")
         if min(self.alpha_hat1, self.alpha_tilde1) <= 0:
             raise ValueError("one-probe angles must be positive")
         if self.distinguishable:

@@ -48,6 +48,8 @@ class Distribution:
     @classmethod
     def uniform(cls, outcomes) -> "Distribution":
         outcomes = list(outcomes)
+        if not outcomes:
+            raise InvalidDistribution("a uniform distribution needs at least one outcome")
         return cls(dict.fromkeys(outcomes, 1.0 / len(outcomes)))
 
     @classmethod

@@ -119,9 +119,10 @@ class MachineTable:
 
 
 def machine_table(norm: "NormalizationId | str", cfg: DeviceConfig | None = None) -> MachineTable:
-    """Run the machine symbolically: normalize the noiseless transitions."""
+    """Run the machine symbolically: normalize the noiseless transitions. With
+    no ``cfg``, u4 gets a config that resolves the two one-probe angles."""
     norm = NormalizationId(norm)
-    cfg = cfg or DeviceConfig()
+    cfg = cfg or DeviceConfig(distinguishable=norm is NormalizationId.U4)
 
     if norm is NormalizationId.DELTA_U1:
         # Probe 1 held off; probe 2 and the initial angle are the inputs. The
@@ -163,82 +164,63 @@ DERIVED_SETS: dict[GateId, frozenset[Connective]] = {
 
 
 @dataclass(frozen=True)
-class ConclusionVerdict:
-    norm: NormalizationId
-    gate_id: GateId
-    fixing: Fixing
-    expected: Connective
-    table: MachineTable
+class CheckRecord:
+    """One verified claim; ``detail`` is its JSON-ready evidence (str, int or list values)."""
+
+    label: str
     passed: bool
+    detail: dict[str, str | int | list]
 
 
 def verify_conclusion(
     norm: "NormalizationId | str", cfg: DeviceConfig | None = None
-) -> ConclusionVerdict:
+) -> CheckRecord:
     """Check one machine table against its gate restriction, row for row.
 
     Passes only on exact table equality (full input and output words) plus
     the expected connective name.
     """
     norm = NormalizationId(norm)
-    if cfg is None:
-        cfg = DeviceConfig(distinguishable=(norm is NormalizationId.U4))
     gate_id, assignments, expected = CONCLUSIONS[norm]
     fixing = Fixing.of(3, assignments)
     table = machine_table(norm, cfg)
 
     gate = build(gate_id)
     gate_rows = {all_words(3)[code]: gate.table[code] for code in input_codes(gate, fixing)}
-    machine_rows = dict(table.rows)
-    passed = machine_rows == gate_rows and table.connective is expected
-    return ConclusionVerdict(norm, gate_id, fixing, expected, table, passed)
+    passed = dict(table.rows) == gate_rows and table.connective is expected
+    label = f"conclusion {norm.value:6s} -> {gate_id.value} {fixing.label()} -> {expected.value}"
+    return CheckRecord(label, passed, {
+        "normalization": norm.value,
+        "gate": gate_id.value,
+        "fixing": fixing.label(),
+        "connective": table.connective.value,
+        "expected": expected.value,
+        "rows": [[str(a), str(b)] for a, b in table.rows],
+    })
 
 
-def verify_all_conclusions() -> tuple[ConclusionVerdict, ...]:
+def verify_all_conclusions() -> tuple[CheckRecord, ...]:
     return tuple(verify_conclusion(norm) for norm in NormalizationId)
 
 
-@dataclass(frozen=True)
-class CoherenceRow:
-    probes: ProbeState
-    u1_out: int
-    delta: int
-
-
-@dataclass(frozen=True)
-class CoherenceResult:
-    rows: tuple[CoherenceRow, ...]
-    passed: bool
-
-
-def coherence_check() -> CoherenceResult:
+def coherence_check() -> CheckRecord:
     """With the tip initially vertical, u1 of the output angle and the delta
     form must agree on all four probe inputs of the default device."""
     rows = []
     for ps in PROBE_STATES:
         alpha_o = equilibrium_angle(ps)
-        rows.append(CoherenceRow(ps, normalize(NormalizationId.U1, alpha_o),
-                                 delta_normalize(0.0, alpha_o)))
-    return CoherenceResult(tuple(rows), all(r.u1_out == r.delta for r in rows))
-
-
-@dataclass(frozen=True)
-class CheckRecord:
-    label: str
-    passed: bool
+        rows.append({"probes": str(ps), "u1_out": normalize(NormalizationId.U1, alpha_o),
+                     "delta": delta_normalize(0.0, alpha_o)})
+    return CheckRecord("coherence u1(out) = |u1(in) - u1(out)| at vertical start",
+                       all(r["u1_out"] == r["delta"] for r in rows), {"rows": rows})
 
 
 def verify_all() -> tuple[CheckRecord, ...]:
     """Every verified claim: conclusions, coherence and derived sets, one record each."""
-    records = [
-        CheckRecord(f"conclusion {v.norm.value:6s} -> {v.gate_id.value} "
-                    f"{v.fixing.label()} -> {v.expected.value}", v.passed)
-        for v in verify_all_conclusions()
-    ]
-    records.append(CheckRecord("coherence u1(out) = |u1(in) - u1(out)| at vertical start",
-                               coherence_check().passed))
+    records = [*verify_all_conclusions(), coherence_check()]
     for gate_id, wanted in DERIVED_SETS.items():
         names = ", ".join(sorted(c.value for c in wanted))
+        missing = sorted(c.value for c in wanted - derived_connectives(build(gate_id)).names)
         records.append(CheckRecord(f"derived-set {gate_id.value} includes {{{names}}}",
-                                   wanted <= derived_connectives(build(gate_id)).names))
+                                   not missing, {"missing": missing}))
     return tuple(records)

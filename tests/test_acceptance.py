@@ -114,11 +114,11 @@ def test_c5_conclusions_and_coherence():
     with criterion(5, "all eight normalization verdicts and coherence, < 10 ms"):
         def check():
             for norm, (gate_name, assignments, connective) in expected.items():
-                verdict = verify_conclusion(norm)
-                assert verdict.passed, norm
-                assert verdict.gate_id.value == gate_name
-                assert verdict.fixing.assignments == assignments
-                assert verdict.table.connective is connective
+                record = verify_conclusion(norm)
+                assert record.passed, norm
+                assert record.detail["gate"] == gate_name
+                assert record.detail["fixing"] == Fixing.of(3, assignments).label()
+                assert record.detail["connective"] == connective.value
             assert coherence_check().passed
 
         check()

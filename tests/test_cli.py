@@ -119,6 +119,15 @@ class TestSimulate:
         assert "trials must be 1..10000000" in result.output
         assert "Traceback" not in result.output
 
+    # 1e308: alpha2 + 6 sigma overflows, so samples could be inf; 1e300 samples are
+    # finite but span far more bins than device.MAX_BINS
+    @pytest.mark.parametrize("sigma,cause", [("1e308", "sigma"), ("1e300", "bin width")])
+    def test_huge_sigma_is_usage_error_naming_its_cause(self, runner, sigma, cause):
+        result = runner.invoke(main, ["simulate", "--input", "11", "--n", "10", "--sigma", sigma])
+        assert result.exit_code == 2
+        assert cause in result.stderr
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("option", ["--sigma", "--alpha2"])
     def test_non_finite_config_is_usage_error(self, runner, option):
         result = runner.invoke(main, ["simulate", "--input", "11", "--n", "10", option, "nan"])
@@ -189,7 +198,7 @@ class TestEnergy:
         result = runner.invoke(main, ["energy", "--gate", "cl", "--fix", "x9=0"])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("temperature", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("temperature", ["nan", "inf", "-inf", "0", "-1"])
     def test_non_finite_temp_is_usage_error(self, runner, temperature):
         result = runner.invoke(main, ["energy", "--gate", "cl", "--fix", "x3=0",
                                       "--project", "3", "--temp", temperature])
@@ -221,7 +230,29 @@ class TestVerifyAll:
         label = "derived-set x includes {AND}"
         result = runner.invoke(main, ["verify-all"])
         assert result.exit_code == 1
-        assert f"FAIL  {label}" in result.output.splitlines()
+        lines = result.output.splitlines()
+        assert lines[lines.index(f"FAIL  {label}") + 1] == '      missing: ["AND"]'
         result = runner.invoke(main, ["verify-all", "--json"])
         assert result.exit_code == 1
         assert {"check": label, "passed": False} in json.loads(result.output)
+
+    def test_failing_conclusion_shows_its_evidence(self, runner, monkeypatch):
+        monkeypatch.setitem(machine.CONCLUSIONS, machine.NormalizationId.U1,
+                            (GateId.TOFFOLI, {3: 0}, Connective.AND))
+        label = "conclusion u1     -> toffoli x3=0 -> AND"
+        result = runner.invoke(main, ["verify-all"])
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        at = lines.index(f"FAIL  {label}")
+        assert lines[at + 1:at + 7] == [
+            '      normalization: "u1"',
+            '      gate: "toffoli"',
+            '      fixing: "x3=0"',
+            '      connective: "OR"',
+            '      expected: "AND"',
+            '      rows: [["000", "000"], ["010", "011"], ["100", "101"], ["110", "111"]]',
+        ]
+        assert lines[at + 7].startswith("PASS  ")
+        result = runner.invoke(main, ["verify-all", "--json"])
+        assert result.exit_code == 1
+        assert json.loads(result.output)[0] == {"check": label, "passed": False}

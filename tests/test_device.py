@@ -66,6 +66,12 @@ class TestDeviceConfig:
         with pytest.raises(ValueError):
             DeviceConfig(sigma=0.0)
 
+    def test_sigma_keeps_the_sample_support_finite(self):
+        # alpha2 + 6 * 1e308 overflows to inf; 6 * 1e300 does not
+        with pytest.raises(ValueError, match="sigma"):
+            DeviceConfig(sigma=1e308)
+        assert DeviceConfig(sigma=1e300).sigma == 1e300
+
     @pytest.mark.parametrize("field", ["sigma", "alpha_hat1", "alpha_tilde1", "alpha2"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_values_rejected(self, field, value):

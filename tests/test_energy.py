@@ -53,6 +53,8 @@ class TestShannonEntropy:
             Distribution({"a": 0.5, "b": 0.6})
         with pytest.raises(InvalidDistribution):
             Distribution({"a": 1.5, "b": -0.5})
+        with pytest.raises(InvalidDistribution):
+            Distribution.uniform([])
         nan, inf = float("nan"), float("inf")
         for probabilities in ({"a": 0.5, "b": nan}, {"a": nan}, {"a": inf}, {"a": -inf},
                               {"a": inf, "b": -inf}, {"a": 1.0, "b": 0.0, "c": nan}):

@@ -110,6 +110,9 @@ class TestMachineTable:
         table = machine_table("u4", cfg=DISTINGUISHABLE)
         assert table.connective is Connective.IMPLIES_AB
 
+    def test_u4_defaults_to_a_distinguishable_config(self):
+        assert machine_table("u4") == machine_table("u4", DISTINGUISHABLE)
+
     def test_delta_gives_xor_of_lines_2_and_3(self):
         table = machine_table("delta")
         assert table.connective is Connective.XOR
@@ -149,23 +152,23 @@ class TestMachineTable:
 
 class TestVerdicts:
     def test_u1_verdict_fields(self):
-        verdict = verify_conclusion("u1")
-        assert verdict.passed
-        assert verdict.gate_id is GateId.CL
-        assert verdict.fixing.assignments == {3: 0}
-        assert verdict.table.connective is Connective.OR
+        record = verify_conclusion("u1")
+        assert record.passed
+        assert record.detail["gate"] == GateId.CL.value
+        assert record.detail["fixing"] == "x3=0"
+        assert record.detail["connective"] == Connective.OR.value
 
     def test_u2bar_matches_toffoli_nand(self):
-        verdict = verify_conclusion("u2bar")
-        assert verdict.passed
-        assert verdict.gate_id is GateId.TOFFOLI
-        assert verdict.fixing.assignments == {3: 1}
-        assert verdict.expected is Connective.NAND
+        record = verify_conclusion("u2bar")
+        assert record.passed
+        assert record.detail["gate"] == GateId.TOFFOLI.value
+        assert record.detail["fixing"] == "x3=1"
+        assert record.detail["expected"] == Connective.NAND.value
 
     def test_u4_matches_i_gate_implication(self):
-        verdict = verify_conclusion("u4")
-        assert verdict.passed
-        assert verdict.gate_id is GateId.I
+        record = verify_conclusion("u4")
+        assert record.passed
+        assert record.detail["gate"] == GateId.I.value
 
     def test_all_conclusions_pass(self):
         verdicts = verify_all_conclusions()
@@ -179,10 +182,10 @@ class TestVerdicts:
         assert len({r.label for r in records}) == 12
 
     def test_delta_matches_cl_with_line1_fixed(self):
-        verdict = verify_conclusion("delta")
-        assert verdict.passed
-        assert verdict.fixing.assignments == {1: 0}
-        assert verdict.expected is Connective.XOR
+        record = verify_conclusion("delta")
+        assert record.passed
+        assert record.detail["fixing"] == "x1=0"
+        assert record.detail["expected"] == Connective.XOR.value
 
 
 class TestComplementDuality:
@@ -213,11 +216,11 @@ class TestReversibilityWitness:
 
 class TestCoherence:
     def test_rows_and_verdict(self):
-        result = coherence_check()
-        assert result.passed
-        by_state = {row.probes: row for row in result.rows}
-        assert (by_state[DD].u1_out, by_state[DD].delta) == (0, 0)
-        assert (by_state[AA].u1_out, by_state[AA].delta) == (1, 1)
+        record = coherence_check()
+        assert record.passed
+        by_state = {row["probes"]: row for row in record.detail["rows"]}
+        assert (by_state[str(DD)]["u1_out"], by_state[str(DD)]["delta"]) == (0, 0)
+        assert (by_state[str(AA)]["u1_out"], by_state[str(AA)]["delta"]) == (1, 1)
 
 
 class TestNoiseRobustness:
