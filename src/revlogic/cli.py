@@ -167,8 +167,6 @@ def machine_cmd(ctx, norm_name, run_all, distinguishable, as_json) -> None:
     """Run the normalization machine and verify it against its gate."""
     if run_all == (norm_name is not None):
         raise click.UsageError("give exactly one of --norm or --all")
-    if norm_name == machine.NormalizationId.U4.value and not distinguishable:
-        raise click.UsageError("u4 needs --distinguishable")
     # with no explicit config, machine_table picks the right default per id
     cfg = DeviceConfig(distinguishable=True) if distinguishable else None
     norms = list(machine.NormalizationId) if run_all else [machine.NormalizationId(norm_name)]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import product, repeat
 from typing import Iterable, Iterator, Sequence
 
 MAX_WIDTH = 16
@@ -34,7 +35,7 @@ class NotBijective(GateError):
     """An output table repeats a word, so the gate would lose information."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Word:
     """A fixed-width tuple of bits; position 0 is line x1, the top bit of ``index``."""
 
@@ -75,8 +76,18 @@ class Word:
 
 @lru_cache(maxsize=MAX_WIDTH)
 def all_words(width: int) -> tuple[Word, ...]:
-    """Every word of ``width`` bits in encoding order, built once per width."""
-    return tuple(Word.from_index(width, i) for i in range(1 << width))
+    """Every word of ``width`` bits in encoding order, built once per width.
+
+    ``product`` yields the bit tuples in encoding order, so each word is
+    valid by construction and skips ``Word``'s bit-by-bit validation.
+    """
+    if not 1 <= width <= MAX_WIDTH:
+        raise WrongLength(f"word width must be 1..{MAX_WIDTH}, got {width}")
+    words = tuple(map(object.__new__, repeat(Word, 1 << width)))
+    for index, (word, bits) in enumerate(zip(words, product((0, 1), repeat=width))):
+        object.__setattr__(word, "bits", bits)
+        object.__setattr__(word, "index", index)
+    return words
 
 
 def as_word(value: "Word | str | Sequence[int]") -> Word:
@@ -171,7 +182,7 @@ class Gate:
         return {
             "name": self.name,
             "width": self.width,
-            "table": [format(out, spec) for out in self.perm],
+            "table": list(map(format, self.perm, repeat(spec))),
         }
 
     @classmethod

@@ -8,7 +8,10 @@ dissipated energy, equivalently raises the environment entropy by k_B * ln 2.
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Hashable, Mapping
 
 from .core import Gate, Word, all_words
@@ -39,7 +42,7 @@ class Distribution:
 
     def __post_init__(self) -> None:
         # `not p >= 0` and `not d <= tol` hold for NaN, unlike `p < 0` and `d > tol`.
-        if not all(p >= 0 for p in self.probabilities.values()):
+        if not all(map(operator.ge, self.probabilities.values(), repeat(0))):
             raise InvalidDistribution("negative probability")
         total = sum(self.probabilities.values())
         if not abs(total - 1.0) <= _SUM_TOL:
@@ -65,7 +68,12 @@ class Distribution:
 
 def shannon_entropy(dist: Distribution) -> float:
     """Entropy in bits, with 0 * log 0 = 0."""
-    return -sum(p * math.log2(p) for p in dist.probabilities.values() if p > 0)
+    return _entropy_bits(Counter(dist.probabilities.values()))
+
+
+def _entropy_bits(multiplicity: Mapping[float, int]) -> float:
+    # one log2 per distinct probability: a uniform distribution costs one
+    return -sum(n * p * math.log2(p) for p, n in multiplicity.items() if p > 0)
 
 
 @dataclass(frozen=True)
@@ -99,18 +107,39 @@ class EnergyReport:
 
 
 def info_loss(table: Mapping[Word, Hashable], dist: Distribution) -> EnergyReport:
-    """Push a distribution through a deterministic table and compare entropies."""
-    pushed: dict[Hashable, float] = {}
-    for word, p in dist.probabilities.items():
-        if p == 0:
-            continue
-        if word not in table:
-            raise InvalidDistribution(f"table undefined on supported input {word}")
-        out = table[word]
-        pushed[out] = pushed.get(out, 0.0) + p
+    """Push a distribution through a deterministic table and compare entropies.
+
+    A fibre (the inputs sharing one output) weighs the sum of its inputs'
+    probabilities; under equal weights that is its size times the weight.
+    """
+    probs = dist.probabilities
+    # Keys that are the same objects in the same order need no lookups.
+    if len(probs) == len(table) and all(map(operator.is_, probs, table)):
+        weights, outputs = list(probs.values()), table.values()
+    else:
+        weights, outputs = [], []
+        for word, p in probs.items():
+            if p == 0:
+                continue
+            if word not in table:
+                raise InvalidDistribution(f"table undefined on supported input {word}")
+            weights.append(p)
+            outputs.append(table[word])
+    if len(set(weights)) == 1:
+        # equal weights: a fibre's mass is its size times the weight, so group fibres by size
+        sizes = Counter(Counter(outputs).values())
+        masses = {n * weights[0]: count for n, count in sizes.items()}
+    else:
+        pushed: dict[Hashable, float] = {}
+        for out, p in zip(outputs, weights):
+            pushed[out] = pushed.get(out, 0.0) + p
+        masses = Counter(pushed.values())
+    total = sum(mass * count for mass, count in masses.items())
+    if not abs(total - 1.0) <= _SUM_TOL:
+        raise InvalidDistribution(f"probabilities sum to {total}, not 1")
     return EnergyReport(
         input_entropy_bits=shannon_entropy(dist),
-        output_entropy_bits=shannon_entropy(Distribution(pushed)),
+        output_entropy_bits=_entropy_bits(masses),
     )
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -150,9 +151,12 @@ class TestMachine:
         assert result.exit_code == 0
         assert "PASS" in result.output and "OR" in result.output
 
-    def test_u4_without_flag_is_usage_error(self, runner):
+    def test_u4_without_flag_takes_the_distinguishable_default(self, runner):
+        # machine_table owns the u4 config default, as it does for `machine --all`
         result = runner.invoke(main, ["machine", "--norm", "u4"])
-        assert result.exit_code == 2
+        flagged = runner.invoke(main, ["machine", "--norm", "u4", "--distinguishable"])
+        assert result.exit_code == 0
+        assert result.output == flagged.output
 
     def test_u4_with_flag_passes(self, runner):
         result = runner.invoke(main, ["machine", "--norm", "u4", "--distinguishable"])
@@ -204,6 +208,20 @@ class TestEnergy:
                                       "--project", "3", "--temp", temperature])
         assert result.exit_code == 2
         assert "NaN" not in result.output and "Infinity" not in result.output
+
+    def test_readme_example_matches_the_cli(self, runner):
+        readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+        command, shown = re.search(r"^\$ revlogic (energy .*)\n([^`]*)```", readme, re.M).groups()
+        result = runner.invoke(main, command.split())
+        assert result.exit_code == 0
+        printed = {key: json.dumps(value) for key, value in json.loads(result.output).items()}
+        pairs = re.findall(r'"(\w+)": ([^,}]+)', shown)
+        assert [key for key, _ in pairs] == list(printed)
+        for key, text in pairs:
+            # "1.137598...e-23" stands for any value that starts and ends that way
+            head, dots, tail = text.partition("...")
+            assert (printed[key].startswith(head) and printed[key].endswith(tail)
+                    if dots else printed[key] == text), (key, text, printed[key])
 
 
 class TestVerifyAll:

@@ -1,17 +1,20 @@
 """Tests for entropy accounting and the Landauer bound."""
 
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revlogic.core import Word
-from revlogic.derivation import Fixing, InvalidFixing
+from revlogic.core import Word, make_gate
+from revlogic.derivation import Fixing, InvalidFixing, input_codes
 from revlogic.energy import (
     BOLTZMANN_JK,
     Distribution,
+    EnergyReport,
     InvalidDistribution,
     NonphysicalTemperature,
     info_loss,
@@ -173,3 +176,90 @@ def test_coarsening_outputs_never_decreases_erasure(data):
     erased_fine = info_loss(fine, dist).erased_bits
     erased_coarse = info_loss(coarse, dist).erased_bits
     assert erased_coarse >= erased_fine - 1e-12
+
+
+@st.composite
+def pushforwards(draw):
+    """A random gate of width 1..12, a fixing that leaves a line free, an
+    output line to project onto or None, and a seed for random weights."""
+    width = draw(st.integers(1, 12))
+    perm = list(range(1 << width))
+    random.Random(draw(st.integers(0, 2**32 - 1))).shuffle(perm)
+    gate = make_gate(width, [format(p, f"0{width}b") for p in perm])
+    lines = draw(st.lists(st.integers(1, width), unique=True, max_size=width - 1))
+    bits = draw(st.lists(st.integers(0, 1), min_size=len(lines), max_size=len(lines)))
+    fixing = Fixing.of(width, dict(zip(lines, bits)))
+    return gate, fixing, draw(st.none() | st.integers(1, width)), draw(st.integers(0, 2**32 - 1))
+
+
+def random_distribution(keys, seed, zero=None):
+    raw = np.random.default_rng(seed).random(len(keys))
+    if zero is not None:
+        raw[zero] = 0.0
+    raw /= raw.sum()
+    return Distribution(dict(zip(keys, raw.tolist())))
+
+
+def reference_report(table, dist):
+    """The pushforward as a per-row dict loop and the entropies as per-entry sums."""
+    pushed = {}
+    for word, p in dist.probabilities.items():
+        if p:
+            pushed[table[word]] = pushed.get(table[word], 0.0) + p
+    return EnergyReport(entropy_oracle(dist.probabilities.values()), entropy_oracle(pushed.values()))
+
+
+def assert_reports_agree(a, b):
+    assert abs(a.input_entropy_bits - b.input_entropy_bits) <= 1e-12
+    assert abs(a.output_entropy_bits - b.output_entropy_bits) <= 1e-12
+
+
+@settings(max_examples=40)
+@given(pushforwards())
+def test_aligned_keys_and_lookups_agree_with_the_row_loop(case):
+    gate, fixing, line, seed = case
+    table = transfer_table(gate, fixing, line)
+    # the same items in reversed key order take the lookup path
+    reordered = dict(reversed(table.items()))
+    keys = list(table)
+    for dist in (Distribution.uniform(keys), random_distribution(keys, seed)):
+        reference = reference_report(table, dist)
+        assert_reports_agree(info_loss(table, dist), reference)
+        assert_reports_agree(info_loss(reordered, dist), reference)
+
+
+@settings(max_examples=40)
+@given(pushforwards())
+def test_uniform_erasure_has_a_closed_form_in_the_fibre_sizes(case):
+    gate, fixing, line, _ = case
+    codes = input_codes(gate, fixing)
+    outputs = [gate.perm[c] for c in codes]
+    if line is not None:
+        outputs = [(out >> (gate.width - line)) & 1 for out in outputs]
+    expected = sum(c * math.log2(c) for c in Counter(outputs).values()) / len(codes)
+    table = transfer_table(gate, fixing, line)
+    for t in (table, dict(reversed(table.items()))):
+        erased = info_loss(t, Distribution.uniform(table.keys())).erased_bits
+        assert abs(erased - expected) <= 1e-12
+        if line is None:
+            assert erased == 0.0
+
+
+@settings(max_examples=40)
+@given(pushforwards())
+def test_both_paths_skip_zero_weights_and_reject_missing_inputs(case):
+    gate, fixing, line, seed = case
+    table = transfer_table(gate, fixing, line)
+    keys = list(table)
+    without_last = dict(list(table.items())[:-1])
+    equal = Distribution({**dict.fromkeys(keys[:-1], 1 / (len(keys) - 1)), keys[-1]: 0.0})
+    for dist in (equal, random_distribution(keys, seed, zero=len(keys) - 1)):
+        support = Distribution({k: p for k, p in dist.probabilities.items() if p})
+        reference = info_loss(without_last, support)
+        assert_reports_agree(info_loss(table, dist), reference)
+        assert_reports_agree(info_loss(dict(reversed(table.items())), dist), reference)
+        assert_reports_agree(info_loss(without_last, dist), reference)
+    with pytest.raises(InvalidDistribution, match="table undefined on supported input"):
+        info_loss(without_last, Distribution.uniform(keys))
+    with pytest.raises(InvalidDistribution, match="table undefined on supported input"):
+        info_loss(dict(reversed(without_last.items())), random_distribution(keys, seed))

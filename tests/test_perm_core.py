@@ -22,6 +22,7 @@ from revlogic.core import (
     WidthMismatch,
     Word,
     WrongLength,
+    all_words,
     compose,
     make_gate,
 )
@@ -195,6 +196,25 @@ def test_width_16_json_and_transfer_tables(wide):
     assert_fixing_matches_reference(gate, table, Fixing.of(16, {2: 1, 9: 0}), 16)
     report = info_loss(transfer_table(gate), Distribution.uniform_words(16))
     assert abs(report.erased_bits) <= 1e-12
+
+
+@pytest.mark.parametrize("width", [*range(1, 13), 16])
+def test_all_words_matches_validated_words(width):
+    words = all_words(width)
+    validated = tuple(Word.from_index(width, i) for i in range(1 << width))
+    assert len(words) == len(validated)
+    for got, want in zip(words, validated):
+        assert (got.bits, got.index, hash(got)) == (want.bits, want.index, hash(want))
+        assert got == want and not got < want and not want < got
+    for (a, b), (va, vb) in zip(zip(words, words[1:]), zip(validated, validated[1:])):
+        assert a < vb and va < b and a < b
+    assert not hasattr(words[0], "__dict__")
+
+
+@pytest.mark.parametrize("width", [0, 17])
+def test_all_words_rejects_widths_outside_range(width):
+    with pytest.raises(WrongLength, match=f"word width must be 1..16, got {width}"):
+        all_words(width)
 
 
 ROW_CASES = [
