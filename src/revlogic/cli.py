@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 
 import click
 
@@ -90,7 +91,7 @@ def derive(gate_id: str, as_json: bool) -> None:
                     "fixing": entry.fixing.label(),
                     "line": entry.line,
                     "connective": entry.connective.value,
-                    "essential": list(entry.classification.essential),
+                    "essential": list(entry.essential),
                 }
                 for entry in result.entries
             ],
@@ -170,12 +171,12 @@ def machine_cmd(ctx, norm_name, run_all, distinguishable, as_json) -> None:
     # with no explicit config, machine_table picks the right default per id
     cfg = DeviceConfig(distinguishable=True) if distinguishable else None
     norms = list(machine.NormalizationId) if run_all else [machine.NormalizationId(norm_name)]
-    records = [machine.verify_conclusion(n, cfg) for n in norms]
+    tables = [machine.machine_table(n, cfg) for n in norms]
+    records = [machine.verify_conclusion(table) for table in tables]
     if as_json:
         click.echo(json.dumps([{**r.detail, "passed": r.passed} for r in records]))
     else:
-        for norm, r in zip(norms, records):
-            table = machine.machine_table(norm, cfg)
+        for norm, table, r in zip(norms, tables, records):
             click.echo(f"normalization {norm.value} (ancilla line x{table.ancilla_line}, inputs "
                        + ", ".join(f"x{j}" for j in table.free_lines) + ")")
             click.echo(_format_rows(table.rows, 3))
@@ -190,12 +191,10 @@ def machine_cmd(ctx, norm_name, run_all, distinguishable, as_json) -> None:
 def _parse_fix(fix_texts: tuple[str, ...]) -> dict[int, int]:
     assignments: dict[int, int] = {}
     for text in fix_texts:
-        try:
-            lhs, rhs = text.split("=")
-            line = int(lhs.lstrip("xX"))
-            bit = int(rhs)
-        except ValueError:
-            raise click.UsageError(f"--fix wants x<line>=<bit>, got {text!r}") from None
+        match = re.fullmatch(r"[xX](\d+)=([01])", text, re.ASCII)
+        if match is None:
+            raise click.UsageError(f"--fix wants x<line>=<bit>, got {text!r}")
+        line, bit = map(int, match.groups())
         if line in assignments:
             raise click.UsageError(f"line {line} fixed twice")
         assignments[line] = bit

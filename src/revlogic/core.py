@@ -211,7 +211,3 @@ def make_gate(width: int, outputs: Iterable["Word | str | Sequence[int]"], name:
 def identity_gate(width: int) -> Gate:
     return Gate(width, all_words(width))
 
-
-def compose(first: Gate, second: Gate) -> Gate:
-    """``compose(g, h)`` applies ``g`` first: the result maps w to h(g(w))."""
-    return first.then(second)

@@ -6,9 +6,9 @@ inputs. The other output lines are garbage: they are always retained here,
 because discarding them is precisely what makes a projected table look
 irreversible.
 
-Classification first projects out non-essential inputs, so e.g. the
-transition (1, a, b) -> (1, a, not b) is reported as a unary NOT with line 2
-listed as ignored.
+``classify`` first projects out non-essential inputs, so e.g. the transition
+(1, a, b) -> (1, a, not b) is named a unary NOT, with line 3 its one
+essential input.
 """
 from __future__ import annotations
 
@@ -141,14 +141,12 @@ def output_function(gate: Gate, fixing: Fixing, line: int) -> BooleanFunction:
 
 
 class Connective(str, Enum):
-    """Names for the sixteen two-input functions, the unary ones, and wiring."""
+    """What ``classify`` returns: the ten two-input functions that depend on
+    both inputs, the unary ones, the constants and RAW; plus FANOUT, the
+    signal duplication ``derived_connectives`` reports."""
 
     CONST0 = "CONST0"
     CONST1 = "CONST1"
-    ID_A = "ID_A"
-    ID_B = "ID_B"
-    NOT_A = "NOT_A"
-    NOT_B = "NOT_B"
     AND = "AND"
     OR = "OR"
     NAND = "NAND"
@@ -165,14 +163,9 @@ class Connective(str, Enum):
     RAW = "RAW"
 
 
-# Canonical two-input truth vector -> name, a bijection.
+# Truth vector over two essential inputs -> name, a bijection onto the ten
+# two-input functions that depend on both inputs.
 BINARY_NAMES: dict[tuple[int, ...], Connective] = {
-    (0, 0, 0, 0): Connective.CONST0,
-    (1, 1, 1, 1): Connective.CONST1,
-    (0, 0, 1, 1): Connective.ID_A,
-    (0, 1, 0, 1): Connective.ID_B,
-    (1, 1, 0, 0): Connective.NOT_A,
-    (1, 0, 1, 0): Connective.NOT_B,
     (0, 0, 0, 1): Connective.AND,
     (0, 1, 1, 1): Connective.OR,
     (1, 1, 1, 0): Connective.NAND,
@@ -186,65 +179,41 @@ BINARY_NAMES: dict[tuple[int, ...], Connective] = {
 }
 
 
-class UnclassifiedArity(ValueError):
-    """Essential arity above 2 has no connective name."""
-
-
-@dataclass(frozen=True)
-class Classification:
-    """The name of a Boolean function after dropping non-essential inputs."""
-
-    name: Connective
-    essential: tuple[int, ...]  # lines the result depends on, ascending
-    ignored: tuple[int, ...]  # free lines that turned out irrelevant
-    truth: tuple[int, ...]  # truth over the essential lines (full truth for RAW)
-
-    def require_named(self) -> Connective:
-        """The connective name, refusing the RAW case."""
-        if self.name is Connective.RAW:
-            raise UnclassifiedArity(
-                f"{len(self.essential)} essential inputs have no connective name"
-            )
-        return self.name
-
-
-def classify(bf: BooleanFunction) -> Classification:
-    """Name a Boolean function by the connective it computes.
+def classify(bf: BooleanFunction) -> Connective:
+    """Name a Boolean function by the connective it computes on its essential
+    inputs, taken in ascending line order.
 
     Functions with more than two essential inputs have no connective name and
-    come back as RAW, carrying their full truth vector.
+    come back as RAW.
     """
-    essential = tuple(sorted(bf.essential))
-    ignored = tuple(line for line in bf.inputs if line not in bf.essential)
-    if len(essential) > 2:
-        return Classification(Connective.RAW, essential, ignored, bf.truth)
+    if len(bf.essential) > 2:
+        return Connective.RAW
 
     # Non-essential inputs read as 0: the function does not depend on them.
-    weights = [1 << (bf.arity - 1 - bf.inputs.index(line)) for line in essential]
+    weights = [1 << (bf.arity - 1 - bf.inputs.index(line)) for line in sorted(bf.essential)]
     truth = tuple(map(bf.truth.__getitem__, _subset_codes(0, weights)))
 
-    if len(essential) == 0:
-        name = Connective.CONST1 if truth[0] else Connective.CONST0
-    elif len(essential) == 1:
-        name = Connective.ID if truth == (0, 1) else Connective.NOT
-    else:
-        name = BINARY_NAMES[truth]
-    return Classification(name, essential, ignored, truth)
+    if len(bf.essential) == 0:
+        return Connective.CONST1 if truth[0] else Connective.CONST0
+    if len(bf.essential) == 1:
+        return Connective.ID if truth == (0, 1) else Connective.NOT
+    return BINARY_NAMES[truth]
 
 
 @dataclass(frozen=True)
 class Derivation:
     """One realized connective: which fixing, which output line, which name.
 
-    ``connective`` is the reported name; it differs from the functional
-    classification only for FANOUT, where the line computes the identity of a
-    free input that also passes through unchanged elsewhere.
+    ``connective`` is the reported name; it differs from ``classify``'s only
+    for FANOUT, where the line computes the identity of a free input that also
+    passes through unchanged elsewhere. ``essential`` holds the lines the
+    output depends on, ascending.
     """
 
     fixing: Fixing
     line: int
     connective: Connective
-    classification: Classification
+    essential: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -262,13 +231,13 @@ def iter_fixings(width: int) -> Iterator[Fixing]:
                 yield Fixing(width, tuple(zip(lines, values)))
 
 
-def _passes_through(classification: Classification, fixing: Fixing, line: int) -> bool:
+def _passes_through(bf: BooleanFunction, name: Connective, fixing: Fixing, line: int) -> bool:
     """True when output ``line`` merely relays input ``line``: the identity of
     its own free input, or the constant it was fixed to."""
     if line in fixing.free:
-        return classification.name is Connective.ID and classification.essential == (line,)
+        return name is Connective.ID and bf.essential == {line}
     wanted = Connective.CONST1 if fixing.assignments[line] else Connective.CONST0
-    return classification.name is wanted
+    return name is wanted
 
 
 def derived_connectives(gate: Gate) -> DerivedConnectives:
@@ -284,24 +253,24 @@ def derived_connectives(gate: Gate) -> DerivedConnectives:
         raise InvalidFixing(f"connective derivation expects width 3, got {gate.width}")
     entries: list[Derivation] = []
     for fixing in iter_fixings(gate.width):
-        per_line = {
-            line: classify(output_function(gate, fixing, line))
-            for line in range(1, gate.width + 1)
-        }
-        for line, cls in per_line.items():
-            if line != gate.width and _passes_through(cls, fixing, line):
+        per_line = {}
+        for line in range(1, gate.width + 1):
+            bf = output_function(gate, fixing, line)
+            per_line[line] = (bf, classify(bf))
+        for line, (bf, name) in per_line.items():
+            if line != gate.width and _passes_through(bf, name, fixing, line):
                 continue
-            if cls.name is Connective.RAW:
+            if name is Connective.RAW:
                 continue
             fans_out = (
-                cls.name is Connective.ID
-                and cls.essential != (line,)
+                name is Connective.ID
+                and bf.essential != {line}
                 and any(
-                    other != line and per_line[other].name is Connective.ID
-                    and per_line[other].essential == cls.essential
-                    for other in per_line
+                    other != line and other_name is Connective.ID
+                    and other_bf.essential == bf.essential
+                    for other, (other_bf, other_name) in per_line.items()
                 )
             )
-            name = Connective.FANOUT if fans_out else cls.name
-            entries.append(Derivation(fixing, line, name, cls))
+            name = Connective.FANOUT if fans_out else name
+            entries.append(Derivation(fixing, line, name, tuple(sorted(bf.essential))))
     return DerivedConnectives(tuple(entries), frozenset(e.connective for e in entries))

@@ -139,7 +139,7 @@ def machine_table(norm: "NormalizationId | str", cfg: DeviceConfig | None = None
         truth = [normalize(norm, equilibrium_angle(ps, cfg), cfg) for ps in PROBE_STATES]
         ancilla_line, free_lines = 3, (1, 2)
     rows = tuple((Word(bits), Word(bits[:2] + (out,))) for bits, out in zip(inputs, truth))
-    connective = classify(BooleanFunction.from_truth(free_lines, tuple(truth))).name
+    connective = classify(BooleanFunction.from_truth(free_lines, tuple(truth)))
     return MachineTable(norm, rows, ancilla_line, free_lines, connective)
 
 
@@ -172,18 +172,15 @@ class CheckRecord:
     detail: dict[str, str | int | list]
 
 
-def verify_conclusion(
-    norm: "NormalizationId | str", cfg: DeviceConfig | None = None
-) -> CheckRecord:
-    """Check one machine table against its gate restriction, row for row.
+def verify_conclusion(table: MachineTable) -> CheckRecord:
+    """Check a machine table against its gate restriction, row for row.
 
     Passes only on exact table equality (full input and output words) plus
     the expected connective name.
     """
-    norm = NormalizationId(norm)
+    norm = table.norm
     gate_id, assignments, expected = CONCLUSIONS[norm]
     fixing = Fixing.of(3, assignments)
-    table = machine_table(norm, cfg)
 
     gate = build(gate_id)
     gate_rows = {all_words(3)[code]: gate.table[code] for code in input_codes(gate, fixing)}
@@ -200,7 +197,7 @@ def verify_conclusion(
 
 
 def verify_all_conclusions() -> tuple[CheckRecord, ...]:
-    return tuple(verify_conclusion(norm) for norm in NormalizationId)
+    return tuple(verify_conclusion(machine_table(norm)) for norm in NormalizationId)
 
 
 def coherence_check() -> CheckRecord:

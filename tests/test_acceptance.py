@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from golden import GATE_ROWS
-from revlogic.core import Word, compose
+from revlogic.core import Word
 from revlogic.derivation import Connective, Fixing, derived_connectives
 from revlogic.device import PROBE_STATES, DeviceConfig, equilibrium_angle, sample_many
 from revlogic.energy import (
@@ -73,7 +73,7 @@ def test_c2_self_reversibility():
     with criterion(2, "every gate composed with itself is the identity"):
         for gate_id in GATE_IDS:
             gate = build(gate_id)
-            composed = compose(gate, gate)
+            composed = gate.then(gate)
             for word in gate.words():
                 assert composed.apply(word) == word, gate_id
 
@@ -114,7 +114,7 @@ def test_c5_conclusions_and_coherence():
     with criterion(5, "all eight normalization verdicts and coherence, < 10 ms"):
         def check():
             for norm, (gate_name, assignments, connective) in expected.items():
-                record = verify_conclusion(norm)
+                record = verify_conclusion(machine_table(norm))
                 assert record.passed, norm
                 assert record.detail["gate"] == gate_name
                 assert record.detail["fixing"] == Fixing.of(3, assignments).label()

@@ -178,6 +178,19 @@ class TestMachine:
         result = runner.invoke(main, ["machine"])
         assert result.exit_code == 2
 
+    def test_all_runs_each_normalization_once(self, runner, monkeypatch):
+        # the text view renders the table its verdict was checked against
+        real_machine_table, built = machine.machine_table, []
+
+        def counting_machine_table(*args, **kwargs):
+            built.append(args)
+            return real_machine_table(*args, **kwargs)
+
+        monkeypatch.setattr(machine, "machine_table", counting_machine_table)
+        result = runner.invoke(main, ["machine", "--all"])
+        assert result.exit_code == 0
+        assert len(built) == 8
+
 
 class TestEnergy:
     def test_projected_or_report(self, runner):
@@ -195,8 +208,16 @@ class TestEnergy:
         assert "min_energy_joules" not in payload
 
     def test_bad_fix_syntax(self, runner):
-        result = runner.invoke(main, ["energy", "--gate", "cl", "--fix", "three=0"])
+        # the grammar is x<line>=<bit> in ASCII digits, nothing int() would also take
+        for text in ("three=0", "3=1", "xX3=1", "x3=-0", "x3=+1", "x3=0 ", "x3=\u0660", "x3=2"):
+            result = runner.invoke(main, ["energy", "--gate", "cl", "--fix", text])
+            assert result.exit_code == 2, text
+            assert f"--fix wants x<line>=<bit>, got {text!r}" in result.output, text
+
+    def test_line_fixed_twice(self, runner):
+        result = runner.invoke(main, ["energy", "--gate", "cl", "--fix", "x3=0", "--fix", "X3=1"])
         assert result.exit_code == 2
+        assert "line 3 fixed twice" in result.output
 
     def test_bad_fix_line(self, runner):
         result = runner.invoke(main, ["energy", "--gate", "cl", "--fix", "x9=0"])

@@ -10,7 +10,6 @@ from revlogic.core import (
     WidthMismatch,
     Word,
     WrongLength,
-    compose,
     identity_gate,
     make_gate,
 )
@@ -95,30 +94,30 @@ class TestApply:
 class TestCompose:
     def test_cl_self_composition_is_identity(self):
         cl = build("cl")
-        assert compose(cl, cl).is_identity()
+        assert cl.then(cl).is_identity()
 
     def test_identity_law(self):
         toffoli = build("toffoli")
-        assert compose(identity_gate(3), toffoli) == toffoli
-        assert compose(toffoli, identity_gate(3)) == toffoli
+        assert identity_gate(3).then(toffoli) == toffoli
+        assert toffoli.then(identity_gate(3)) == toffoli
 
     def test_x_self_composition_is_identity(self):
         # frozen by exhaustive check of all 8 words against the X table
         x = build("x")
-        composed = compose(x, x)
+        composed = x.then(x)
         for word in x.words():
             assert composed.apply(word) == word
         assert composed.is_identity()
 
     def test_width_mismatch(self):
         with pytest.raises(WidthMismatch):
-            compose(build("cl"), build("cnot"))
+            build("cl").then(build("cnot"))
 
     @given(st.tuples(st.permutations(range(8)), st.permutations(range(8)),
                      st.permutations(range(8))))
     def test_associative_on_width_3(self, perms):
         f, g, h = (make_gate(3, [Word.from_index(3, i) for i in p]) for p in perms)
-        assert compose(compose(f, g), h) == compose(f, compose(g, h))
+        assert f.then(g).then(h) == f.then(g.then(h))
 
 
 class TestInverse:
@@ -139,7 +138,7 @@ class TestInverse:
         inv = gate.inverse()
         for word in gate.words():
             assert inv.apply(gate.apply(word)) == word
-        assert compose(gate, inv).is_identity()
+        assert gate.then(inv).is_identity()
 
     def test_round_trip_width_10(self):
         import random
@@ -169,7 +168,7 @@ class TestFlags:
     @settings(max_examples=40)
     @given(permutation_gates(max_width=4))
     def test_self_reversible_iff_self_composition_identity(self, gate):
-        assert gate.flags().self_reversible == compose(gate, gate).is_identity()
+        assert gate.flags().self_reversible == gate.then(gate).is_identity()
 
     def test_conservative_implies_self_composition_conservative(self):
         # permute within each Hamming-weight class to get conservative gates
@@ -187,7 +186,7 @@ class TestFlags:
                     table[src] = Word.from_index(width, dst)
             gate = Gate(width, tuple(table))
             assert gate.flags().conservative
-            assert compose(gate, gate).flags().conservative
+            assert gate.then(gate).flags().conservative
 
 
 class TestJson:

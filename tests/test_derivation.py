@@ -12,7 +12,6 @@ from revlogic.derivation import (
     Connective,
     Fixing,
     InvalidFixing,
-    UnclassifiedArity,
     classify,
     derived_connectives,
     iter_fixings,
@@ -20,6 +19,37 @@ from revlogic.derivation import (
     restrict,
 )
 from revlogic.library import build
+
+
+#: Two essential inputs a < b (line numbers), truth listed at (a, b) = 00, 01, 10, 11.
+BOTH_INPUT_NAMES = {
+    (0, 0, 0, 1): "AND", (0, 1, 1, 1): "OR", (1, 1, 1, 0): "NAND", (1, 0, 0, 0): "NOR",
+    (0, 1, 1, 0): "XOR", (1, 0, 0, 1): "NXOR", (1, 1, 0, 1): "IMPLIES_AB",
+    (1, 0, 1, 1): "IMPLIES_BA", (0, 0, 1, 0): "NIMPLIES_AB", (0, 1, 0, 0): "NIMPLIES_BA",
+}
+
+
+def direct_name(inputs, truth):
+    """The connective name straight from its definition, without ``classify``.
+
+    ``truth`` is indexed by the bits of ``inputs`` in their given order, the
+    first input most significant."""
+    def value(bits):  # bits: line -> bit
+        return truth[sum(bits[line] << (len(inputs) - 1 - pos) for pos, line in enumerate(inputs))]
+
+    points = [dict(zip(inputs, bits)) for bits in itertools.product((0, 1), repeat=len(inputs))]
+    essential = sorted(line for line in inputs
+                       if any(value(p) != value({**p, line: 1 - p[line]}) for p in points))
+    zeros = dict.fromkeys(inputs, 0)
+    if not essential:
+        return "CONST1" if value(zeros) else "CONST0"
+    if len(essential) == 1:
+        return "ID" if value({**zeros, essential[0]: 1}) else "NOT"
+    if len(essential) == 2:
+        a, b = essential
+        return BOTH_INPUT_NAMES[tuple(value({**zeros, a: x, b: y})
+                                      for x, y in itertools.product((0, 1), repeat=2))]
+    return "RAW"
 
 
 class TestFixing:
@@ -98,8 +128,8 @@ class TestOutputFunction:
             gate = build(gate_id)
             for line in (1, 2):
                 bf = output_function(gate, Fixing.of(3, {3: 0}), line)
-                assert classify(bf).name is Connective.ID
-                assert classify(bf).essential == (line,)
+                assert classify(bf) is Connective.ID
+                assert bf.essential == {line}
 
     def test_bad_line(self):
         with pytest.raises(InvalidFixing):
@@ -109,53 +139,63 @@ class TestOutputFunction:
 class TestClassify:
     def test_or(self):
         bf = BooleanFunction.from_truth((1, 2), (0, 1, 1, 1))
-        assert classify(bf).name is Connective.OR
+        assert classify(bf) is Connective.OR
 
     def test_implication(self):
         bf = BooleanFunction.from_truth((1, 2), (1, 1, 0, 1))
-        assert classify(bf).name is Connective.IMPLIES_AB
+        assert classify(bf) is Connective.IMPLIES_AB
 
     def test_constant_after_projection(self):
         bf = BooleanFunction.from_truth((2,), (1, 1))
-        cls = classify(bf)
-        assert cls.name is Connective.CONST1
-        assert cls.essential == ()
-        assert cls.ignored == (2,)
+        assert classify(bf) is Connective.CONST1
+        assert bf.essential == set()
 
     def test_degenerate_binary_becomes_unary(self):
         # (1, a, b) -> not b: named NOT with the other line ignored
         bf = output_function(build("cl"), Fixing.of(3, {1: 1}), 3)
-        cls = classify(bf)
-        assert cls.name is Connective.NOT
-        assert cls.essential == (3,)
-        assert cls.ignored == (2,)
+        assert classify(bf) is Connective.NOT
+        assert bf.inputs == (2, 3)
+        assert bf.essential == {3}
 
     def test_truth_follows_ascending_lines_whatever_the_input_order(self):
         # inputs (2, 1): swapping the two bits of each index gives the (1, 2) truth
         for truth in itertools.product((0, 1), repeat=4):
             swapped = tuple(truth[(i >> 1) | (i & 1) << 1] for i in range(4))
             got = classify(BooleanFunction.from_truth((2, 1), truth))
-            want = classify(BooleanFunction.from_truth((1, 2), swapped))
-            assert (got.name, got.essential, got.truth) == (want.name, want.essential, want.truth)
-        cls = classify(BooleanFunction.from_truth((2, 1), (0, 0, 1, 0)))
-        assert cls.name is Connective.NIMPLIES_BA
-        assert cls.truth == (0, 1, 0, 0)
+            assert got is classify(BooleanFunction.from_truth((1, 2), swapped))
+        # 1 only at x2 = 1, x1 = 0: a = line 1 is 0 and b = line 2 is 1
+        assert classify(BooleanFunction.from_truth((2, 1), (0, 0, 1, 0))) is Connective.NIMPLIES_BA
 
     def test_three_essential_inputs_stay_raw(self):
         bf = output_function(build("cl"), Fixing(3, ()), 3)
-        cls = classify(bf)
-        assert cls.name is Connective.RAW
-        assert cls.essential == (1, 2, 3)
-        assert len(cls.truth) == 8
-        with pytest.raises(UnclassifiedArity):
-            cls.require_named()
-        assert classify(BooleanFunction.from_truth((1, 2), (0, 1, 1, 1))).require_named() \
-            is Connective.OR
+        assert classify(bf) is Connective.RAW
+        assert bf.essential == {1, 2, 3}
 
     def test_binary_name_table_is_a_bijection(self):
-        assert len(BINARY_NAMES) == 16
-        assert len(set(BINARY_NAMES.values())) == 16
-        assert set(BINARY_NAMES) == set(itertools.product((0, 1), repeat=4))
+        # truth[2a + b]: a function of (a, b) depends on a when its a = 0 and
+        # a = 1 halves differ, on b when its b = 0 and b = 1 columns differ
+        both = {v for v in itertools.product((0, 1), repeat=4)
+                if v[:2] != v[2:] and v[0::2] != v[1::2]}
+        assert len(both) == 10
+        assert set(BINARY_NAMES) == both
+        assert len(set(BINARY_NAMES.values())) == 10
+
+    @pytest.mark.parametrize("arity", [0, 1, 2, 3])
+    def test_every_truth_table_matches_the_direct_definition(self, arity):
+        # every input order of every line subset of that size, every truth table
+        for inputs in itertools.permutations((1, 2, 3), arity):
+            for truth in itertools.product((0, 1), repeat=1 << arity):
+                got = classify(BooleanFunction.from_truth(inputs, truth))
+                assert got.value == direct_name(inputs, truth), (inputs, truth)
+
+    def test_classify_returns_every_name_but_fanout(self):
+        names = {
+            classify(BooleanFunction.from_truth(inputs, truth))
+            for arity in range(4)
+            for inputs in itertools.permutations((1, 2, 3), arity)
+            for truth in itertools.product((0, 1), repeat=1 << arity)
+        }
+        assert names == set(Connective) - {Connective.FANOUT}
 
 
 class TestDerivedConnectives:

@@ -1,5 +1,7 @@
 """Tests for the normalization memory and the gate-restriction verdicts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -152,23 +154,29 @@ class TestMachineTable:
 
 class TestVerdicts:
     def test_u1_verdict_fields(self):
-        record = verify_conclusion("u1")
+        record = verify_conclusion(machine_table("u1"))
         assert record.passed
         assert record.detail["gate"] == GateId.CL.value
         assert record.detail["fixing"] == "x3=0"
         assert record.detail["connective"] == Connective.OR.value
 
     def test_u2bar_matches_toffoli_nand(self):
-        record = verify_conclusion("u2bar")
+        record = verify_conclusion(machine_table("u2bar"))
         assert record.passed
         assert record.detail["gate"] == GateId.TOFFOLI.value
         assert record.detail["fixing"] == "x3=1"
         assert record.detail["expected"] == Connective.NAND.value
 
     def test_u4_matches_i_gate_implication(self):
-        record = verify_conclusion("u4")
+        record = verify_conclusion(machine_table("u4"))
         assert record.passed
         assert record.detail["gate"] == GateId.I.value
+
+    def test_checks_the_table_it_is_handed(self):
+        table = machine_table("u1")
+        assert verify_conclusion(table).passed
+        assert not verify_conclusion(replace(table, connective=Connective.AND)).passed
+        assert not verify_conclusion(replace(table, rows=table.rows[:3])).passed
 
     def test_all_conclusions_pass(self):
         verdicts = verify_all_conclusions()
@@ -182,7 +190,7 @@ class TestVerdicts:
         assert len({r.label for r in records}) == 12
 
     def test_delta_matches_cl_with_line1_fixed(self):
-        record = verify_conclusion("delta")
+        record = verify_conclusion(machine_table("delta"))
         assert record.passed
         assert record.detail["fixing"] == "x1=0"
         assert record.detail["expected"] == Connective.XOR.value

@@ -23,7 +23,6 @@ from revlogic.core import (
     Word,
     WrongLength,
     all_words,
-    compose,
     make_gate,
 )
 from revlogic.derivation import Fixing, output_function, restrict
@@ -145,7 +144,7 @@ def test_transfer_tables_match_reference(pair, data):
 @given(same_width(3))
 def test_compose_is_associative(fgh):
     f, g, h = fgh
-    assert compose(compose(f, g), h) == compose(f, compose(g, h))
+    assert f.then(g).then(h) == f.then(g.then(h))
 
 
 @settings(max_examples=30)
