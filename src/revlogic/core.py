@@ -35,19 +35,19 @@ class NotBijective(GateError):
     """An output table repeats a word, so the gate would lose information."""
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, order=True)
 class Word:
     """A fixed-width tuple of bits; position 0 is line x1, the top bit of ``index``."""
 
+    __slots__ = ("bits", "index")  # ``index`` is set from the bits, outside the fields
     bits: tuple[int, ...]
-    index: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.bits) <= MAX_WIDTH:
             raise WrongLength(f"word width must be 1..{MAX_WIDTH}, got {len(self.bits)}")
         value = 0
         for b in self.bits:
-            if b not in (0, 1):
+            if type(b) is not int or b not in (0, 1):
                 raise ValueError(f"bits must be 0 or 1, got {self.bits!r}")
             value = (value << 1) | b
         object.__setattr__(self, "index", value)
@@ -55,15 +55,12 @@ class Word:
     def __hash__(self) -> int:
         return self.index
 
+    def __reduce__(self) -> tuple:
+        return Word, (self.bits,)
+
     @property
     def width(self) -> int:
         return len(self.bits)
-
-    @classmethod
-    def from_index(cls, width: int, index: int) -> "Word":
-        if not 0 <= index < (1 << width):
-            raise ValueError(f"index {index} out of range for width {width}")
-        return cls(tuple((index >> (width - 1 - j)) & 1 for j in range(width)))
 
     @classmethod
     def from_string(cls, text: str) -> "Word":
@@ -105,7 +102,7 @@ class GateFlags:
     conservative: bool
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Gate:
     """A reversible gate: a validated permutation of the input encodings.
 
@@ -118,24 +115,18 @@ class Gate:
     perm: tuple[int, ...]
     name: str = field(default="", compare=False)
 
-    def __init__(self, width: int, table: Sequence[Word], name: str = "") -> None:
-        """Validate an output table of words, in input-encoding order."""
+    def __post_init__(self) -> None:
+        """Store ``perm`` as a tuple, then check width, length, range and bijectivity."""
+        object.__setattr__(self, "perm", tuple(self.perm))
+        width, size = self.width, len(self.perm)
         if not 1 <= width <= MAX_WIDTH:
             raise WrongLength(f"gate width must be 1..{MAX_WIDTH}, got {width}")
-        if len(table) != 1 << width:
-            raise WrongLength(f"width-{width} gate needs {1 << width} rows, got {len(table)}")
-        for out in table:
-            if out.width != width:
-                raise WidthMismatch(f"output {out} has width {out.width}, gate has width {width}")
-        self.__dict__.update(vars(Gate._from_perm(width, tuple(out.index for out in table), name)))
-
-    @classmethod
-    def _from_perm(cls, width: int, perm: tuple[int, ...], name: str = "") -> "Gate":
-        if len(set(perm)) != len(perm):
+        if size != 1 << width:
+            raise WrongLength(f"width-{width} gate needs {1 << width} rows, got {size}")
+        if min(self.perm) < 0 or max(self.perm) >= size:
+            raise WidthMismatch(f"width-{width} gate entries must lie in 0..{size - 1}")
+        if len(set(self.perm)) != size:
             raise NotBijective("output table repeats a word")
-        gate = object.__new__(cls)
-        gate.__dict__.update(width=width, perm=perm, name=name)
-        return gate
 
     @cached_property
     def table(self) -> tuple[Word, ...]:
@@ -157,7 +148,7 @@ class Gate:
         if other.width != self.width:
             raise WidthMismatch(f"cannot compose widths {self.width} and {other.width}")
         name = f"{self.name}∘{other.name}" if self.name and other.name else ""
-        return Gate._from_perm(self.width, tuple(map(other.perm.__getitem__, self.perm)), name)
+        return Gate(self.width, tuple(map(other.perm.__getitem__, self.perm)), name)
 
     def inverse(self) -> "Gate":
         """The inverse permutation; for a self-reversible gate, the same table."""
@@ -165,10 +156,7 @@ class Gate:
         for i, out in enumerate(self.perm):
             inv[out] = i
         name = f"{self.name}⁻¹" if self.name else ""
-        return Gate._from_perm(self.width, tuple(inv), name)
-
-    def is_identity(self) -> bool:
-        return self.perm == tuple(range(len(self.perm)))
+        return Gate(self.width, tuple(inv), name)
 
     def flags(self) -> GateFlags:
         """Structural predicates, each decided by exhaustive enumeration."""
@@ -198,16 +186,16 @@ class Gate:
 
 
 def make_gate(width: int, outputs: Iterable["Word | str | Sequence[int]"], name: str = "") -> Gate:
-    """Build and validate a gate from its output rows in encoding order."""
+    """Build a gate from its output rows (words, bitstrings or bit sequences) in encoding order."""
     rows = list(outputs)
-    # Well-formed bitstrings skip the Word path, which raises every error as Gate does.
+    # Well-formed bitstrings skip the Word path, which reads every row before checking the gate.
     if (1 <= width <= MAX_WIDTH and len(rows) == 1 << width and set(map(type, rows)) == {str}
             and set(map(len, rows)) == {width}
             and not "".join(rows).translate(str.maketrans("", "", "01"))):
-        return Gate._from_perm(width, tuple(int(r, 2) for r in rows), name)
-    return Gate(width, tuple(as_word(out) for out in rows), name)
-
-
-def identity_gate(width: int) -> Gate:
-    return Gate(width, all_words(width))
-
+        return Gate(width, tuple(int(r, 2) for r in rows), name)
+    words = [as_word(out) for out in rows]
+    if 1 <= width <= MAX_WIDTH and len(words) == 1 << width:
+        for out in words:
+            if out.width != width:
+                raise WidthMismatch(f"output {out} has width {out.width}, gate has width {width}")
+    return Gate(width, tuple(out.index for out in words), name)

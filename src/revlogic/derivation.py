@@ -58,15 +58,6 @@ class Fixing:
     def assignments(self) -> dict[int, int]:
         return dict(self.fixed)
 
-    def full_word(self, free_bits: tuple[int, ...]) -> Word:
-        """Merge the fixed constants with bits for the free lines."""
-        bits = [0] * self.width
-        for line, bit in self.fixed:
-            bits[line - 1] = bit
-        for line, bit in zip(self.free, free_bits):
-            bits[line - 1] = bit
-        return Word(tuple(bits))
-
     def label(self) -> str:
         if not self.fixed:
             return "(none)"

@@ -5,10 +5,13 @@ words rather than as an integer permutation. A table is a tuple of words,
 ``table[i]`` the output for the input whose encoding is ``i``. Every integer
 encoding is re-derived here bit by bit, so the reference shares no integer
 arithmetic with the permutation core it is compared against.
+
+``identity_gate``, ``from_index`` and ``full_word`` also stand in for names
+the package no longer carries because only tests used them.
 """
 import itertools
 
-from revlogic.core import MAX_WIDTH, NotBijective, WidthMismatch, Word, WrongLength
+from revlogic.core import MAX_WIDTH, Gate, NotBijective, WidthMismatch, Word, WrongLength
 
 
 def index(word):
@@ -20,6 +23,20 @@ def index(word):
 
 def from_index(width, i):
     return Word(tuple((i >> (width - 1 - j)) & 1 for j in range(width)))
+
+
+def identity_gate(width):
+    return Gate(width, tuple(range(1 << width)))
+
+
+def full_word(fixing, free_bits):
+    """Merge a fixing's constants with bits for its free lines."""
+    bits = [0] * fixing.width
+    for line, bit in fixing.fixed:
+        bits[line - 1] = bit
+    for line, bit in zip(fixing.free, free_bits):
+        bits[line - 1] = bit
+    return Word(tuple(bits))
 
 
 def as_word(value):
@@ -83,7 +100,7 @@ def transfer_table(table, fixing=None, project_line=None):
     if fixing is None:
         pairs = [(from_index(width, i), out) for i, out in enumerate(table)]
     else:
-        inputs = [fixing.full_word(free_bits)
+        inputs = [full_word(fixing, free_bits)
                   for free_bits in itertools.product((0, 1), repeat=len(fixing.free))]
         pairs = [(word, table[index(word)]) for word in inputs]
     if project_line is None:

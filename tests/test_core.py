@@ -1,5 +1,7 @@
 """Tests for the gate algebra: words, construction, composition, inversion."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,17 +12,15 @@ from revlogic.core import (
     WidthMismatch,
     Word,
     WrongLength,
-    identity_gate,
     make_gate,
 )
 from revlogic.library import build
+from seed_core import from_index, identity_gate
 
 
 def permutation_gates(max_width=6):
     return st.integers(1, max_width).flatmap(
-        lambda w: st.permutations(range(1 << w)).map(
-            lambda perm: make_gate(w, [Word.from_index(w, i) for i in perm])
-        )
+        lambda w: st.permutations(range(1 << w)).map(lambda perm: Gate(w, tuple(perm)))
     )
 
 
@@ -29,18 +29,18 @@ class TestWord:
         # x1 is the most significant bit, matching left-to-right table columns
         assert Word((0, 1, 1)).index == 3
         assert Word((1, 0, 0)).index == 4
-        assert Word.from_index(3, 6) == Word((1, 1, 0))
+        assert from_index(3, 6) == Word((1, 1, 0))
 
     def test_round_trip_exhaustive_small_widths(self):
         for width in range(1, 6):
             for i in range(1 << width):
-                assert Word.from_index(width, i).index == i
+                assert from_index(width, i).index == i
 
     @given(st.integers(1, 16).flatmap(
         lambda w: st.tuples(st.just(w), st.integers(0, (1 << w) - 1))))
     def test_round_trip_random(self, pair):
         width, i = pair
-        word = Word.from_index(width, i)
+        word = from_index(width, i)
         assert word.index == i
         assert Word.from_string(str(word)) == word
 
@@ -51,6 +51,17 @@ class TestWord:
             Word((0,) * 17)
         with pytest.raises(ValueError):
             Word((0, 2))
+        # only int bits: a float or a bool would print as a string Word cannot parse
+        with pytest.raises(ValueError):
+            Word((1.0, 0))
+        with pytest.raises(ValueError):
+            Word((True, False))
+
+
+    def test_pickles_through_its_bits(self):
+        word = Word((1, 0, 1))
+        again = pickle.loads(pickle.dumps(word))
+        assert again == word and again.index == 5
 
 
 class TestMakeGate:
@@ -94,7 +105,7 @@ class TestApply:
 class TestCompose:
     def test_cl_self_composition_is_identity(self):
         cl = build("cl")
-        assert cl.then(cl).is_identity()
+        assert cl.then(cl) == identity_gate(3)
 
     def test_identity_law(self):
         toffoli = build("toffoli")
@@ -107,7 +118,7 @@ class TestCompose:
         composed = x.then(x)
         for word in x.words():
             assert composed.apply(word) == word
-        assert composed.is_identity()
+        assert composed == identity_gate(3)
 
     def test_width_mismatch(self):
         with pytest.raises(WidthMismatch):
@@ -116,7 +127,7 @@ class TestCompose:
     @given(st.tuples(st.permutations(range(8)), st.permutations(range(8)),
                      st.permutations(range(8))))
     def test_associative_on_width_3(self, perms):
-        f, g, h = (make_gate(3, [Word.from_index(3, i) for i in p]) for p in perms)
+        f, g, h = (Gate(3, tuple(p)) for p in perms)
         assert f.then(g).then(h) == f.then(g.then(h))
 
 
@@ -126,7 +137,7 @@ class TestInverse:
         assert cl.inverse().table == cl.table
 
     def test_identity(self):
-        assert identity_gate(3).inverse().is_identity()
+        assert identity_gate(3).inverse() == identity_gate(3)
 
     def test_hand_inverted_permutation(self):
         gate = make_gate(2, ["01", "10", "00", "11"])
@@ -138,7 +149,7 @@ class TestInverse:
         inv = gate.inverse()
         for word in gate.words():
             assert inv.apply(gate.apply(word)) == word
-        assert gate.then(inv).is_identity()
+        assert gate.then(inv) == identity_gate(gate.width)
 
     def test_round_trip_width_10(self):
         import random
@@ -146,7 +157,7 @@ class TestInverse:
         rnd = random.Random(42)
         perm = list(range(1 << 10))
         rnd.shuffle(perm)
-        gate = make_gate(10, [Word.from_index(10, i) for i in perm])
+        gate = make_gate(10, [from_index(10, i) for i in perm])
         inv = gate.inverse()
         for word in gate.words():
             assert inv.apply(gate.apply(word)) == word
@@ -168,7 +179,7 @@ class TestFlags:
     @settings(max_examples=40)
     @given(permutation_gates(max_width=4))
     def test_self_reversible_iff_self_composition_identity(self, gate):
-        assert gate.flags().self_reversible == gate.then(gate).is_identity()
+        assert gate.flags().self_reversible == (gate.then(gate) == identity_gate(gate.width))
 
     def test_conservative_implies_self_composition_conservative(self):
         # permute within each Hamming-weight class to get conservative gates
@@ -177,14 +188,14 @@ class TestFlags:
         rnd = random.Random(7)
         for _ in range(10):
             width = 3
-            table = [None] * (1 << width)
+            perm = [None] * (1 << width)
             for weight in range(width + 1):
                 idxs = [i for i in range(1 << width) if bin(i).count("1") == weight]
                 shuffled = idxs[:]
                 rnd.shuffle(shuffled)
                 for src, dst in zip(idxs, shuffled):
-                    table[src] = Word.from_index(width, dst)
-            gate = Gate(width, tuple(table))
+                    perm[src] = dst
+            gate = Gate(width, tuple(perm))
             assert gate.flags().conservative
             assert gate.then(gate).flags().conservative
 

@@ -23,6 +23,7 @@ from revlogic.energy import (
     transfer_table,
 )
 from revlogic.library import all_gate_ids, build
+from seed_core import from_index
 
 # The classic two-in/one-out OR table.
 OR_TABLE = {
@@ -167,7 +168,7 @@ def test_coarsening_outputs_never_decreases_erasure(data):
     probs = data.draw(st.lists(st.floats(0.01, 1.0), min_size=8, max_size=8))
     total = sum(probs)
     dist = Distribution({
-        Word.from_index(3, i): p / total for i, p in enumerate(probs)
+        from_index(3, i): p / total for i, p in enumerate(probs)
     })
     fine = transfer_table(build("cl"))
     buckets = data.draw(st.lists(st.integers(0, 3), min_size=8, max_size=8))

@@ -23,6 +23,7 @@ from revlogic.machine import (
     verify_all_conclusions,
     verify_conclusion,
 )
+from seed_core import full_word
 
 DISTINGUISHABLE = DeviceConfig(distinguishable=True)
 
@@ -146,7 +147,7 @@ class TestMachineTable:
             for ps in PROBE_STATES
         }
         gate_rows = {
-            Fixing.of(3, {3: 1}).full_word(f.bits): out
+            full_word(Fixing.of(3, {3: 1}), f.bits): out
             for f, out in restrict(build(GateId.CL), Fixing.of(3, {3: 1}))
         }
         assert rows != gate_rows

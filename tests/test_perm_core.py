@@ -6,16 +6,18 @@ true and false sides; fixed width-16 cases cover the widest gates. Each
 property runs one reference operation, to stay well inside the default
 per-example deadline at width 12.
 """
+import dataclasses
 import itertools
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import seed_core as ref
 from revlogic.core import (
+    MAX_WIDTH,
     Gate,
     GateFlags,
     NotBijective,
@@ -80,7 +82,6 @@ def same_width(count):
 def assert_matches_reference(gate, table):
     assert gate.table == table
     assert gate.perm == tuple(ref.index(out) for out in table)
-    assert gate.is_identity() == ref.is_identity(table)
 
 
 @settings(max_examples=30)
@@ -152,8 +153,8 @@ def test_compose_is_associative(fgh):
 def test_inverse_is_an_involution(one):
     (gate,) = one
     assert gate.inverse().inverse() == gate
-    assert gate.then(gate.inverse()).is_identity()
-    assert gate.inverse().then(gate).is_identity()
+    assert gate.then(gate.inverse()) == ref.identity_gate(gate.width)
+    assert gate.inverse().then(gate) == ref.identity_gate(gate.width)
 
 
 @settings(max_examples=30)
@@ -200,7 +201,7 @@ def test_width_16_json_and_transfer_tables(wide):
 @pytest.mark.parametrize("width", [*range(1, 13), 16])
 def test_all_words_matches_validated_words(width):
     words = all_words(width)
-    validated = tuple(Word.from_index(width, i) for i in range(1 << width))
+    validated = tuple(ref.from_index(width, i) for i in range(1 << width))
     assert len(words) == len(validated)
     for got, want in zip(words, validated):
         assert (got.bits, got.index, hash(got)) == (want.bits, want.index, hash(want))
@@ -255,3 +256,114 @@ def test_make_gate_errors_match_reference(width, outputs, expected):
     with pytest.raises(expected) as info:
         make_gate(width, iter(outputs))
     assert type(seed_info.value) is type(info.value) is expected
+
+
+def first_fault(width, entries):
+    """The error class ``Gate(width, entries)`` owes, read off the definition:
+    width, then length, then range, then "a permutation of range(2**width)"."""
+    if not 1 <= width <= MAX_WIDTH or len(entries) != 1 << width:
+        return WrongLength
+    if not set(entries) <= set(range(1 << width)):
+        return WidthMismatch
+    return None if sorted(entries) == list(range(1 << width)) else NotBijective
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 2).flatmap(lambda w: st.tuples(st.just(w), st.lists(
+    st.integers(-1, 1 << w), min_size=(1 << w) - 1, max_size=(1 << w) + 1))))
+def test_gate_accepts_exactly_the_permutations(case):
+    width, entries = case
+    expected = first_fault(width, entries)
+    if expected is None:
+        assert Gate(width, entries).perm == tuple(entries)
+        return
+    with pytest.raises(expected) as info:
+        Gate(width, entries)
+    assert type(info.value) is expected
+
+
+#: Faults of a valid (width, perm), in the order Gate checks them, and the error each owes.
+FAULTS = {"width": WrongLength, "drop": WrongLength, "extra": WrongLength,
+          "negative": WidthMismatch, "top": WidthMismatch, "repeat": NotBijective}
+
+
+def corrupt(width, perm, faults, spots, bad_width):
+    """Apply ``faults`` to a valid gate; ``spots`` are four distinct positions in ``perm``."""
+    entries = list(perm)
+    negative, top, target, source = spots
+    if "negative" in faults:
+        entries[negative] = -1
+    if "top" in faults:
+        entries[top] = 1 << width
+    if "repeat" in faults:
+        entries[target] = entries[source]
+    if "drop" in faults:
+        entries.pop()
+    if "extra" in faults:
+        entries.append(entries[0])
+    return (bad_width if "width" in faults else width), entries
+
+
+@settings(max_examples=100)
+@given(st.integers(2, 10), specs, st.sets(st.sampled_from(list(FAULTS))), st.data())
+def test_gate_raises_the_first_fault(width, spec, faults, data):
+    assume(not {"drop", "extra"} <= faults)  # together they would keep the length
+    perm = permutation(spec[0], width, spec[1])
+    spots = data.draw(st.lists(st.integers(0, len(perm) - 1), min_size=4, max_size=4, unique=True))
+    bad_width, entries = corrupt(width, perm, faults, spots, data.draw(st.sampled_from([0, 17])))
+    expected = next((FAULTS[fault] for fault in FAULTS if fault in faults), None)
+    assert expected is first_fault(bad_width, entries)
+    if expected is None:
+        assert Gate(bad_width, entries) == Gate(width, tuple(perm))
+        return
+    with pytest.raises(expected) as info:
+        Gate(bad_width, entries)
+    assert type(info.value) is expected
+
+
+@pytest.mark.parametrize("width,entries,expected", [
+    (0, (0, 1), WrongLength),
+    (17, (0, 1), WrongLength),
+    (2, (0, 1, 2), WrongLength),
+    (2, (0, 1, 2, 3, 0), WrongLength),
+    (2, (0, -1, 2, 3), WidthMismatch),
+    (2, (0, 1, 4, 3), WidthMismatch),
+    (2, (0, 1, 1, 3), NotBijective),
+    (17, (0, -1, 1), WrongLength),
+    (2, (0, 0, -1), WrongLength),
+    (2, (4, 4, 1, 3), WidthMismatch),
+    (2, (-1, 0, 0, 3), WidthMismatch),
+], ids=["width-0", "width-17", "dropped", "extra", "negative", "top", "repeat",
+        "width-before-length", "length-before-range", "range-before-repeat", "negative-and-repeat"])
+def test_gate_fault_precedence(width, entries, expected):
+    with pytest.raises(expected) as info:
+        Gate(width, entries)
+    assert type(info.value) is expected
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 10), specs)
+def test_gate_is_a_plain_dataclass(width, spec):
+    perm = permutation(spec[0], width, spec[1])
+    gate = Gate(width, tuple(perm), "g")
+    listed = Gate(width, list(perm))
+    assert type(listed.perm) is tuple
+    assert listed == gate and hash(listed) == hash(gate)
+    renamed = dataclasses.replace(gate, name="y")
+    assert renamed == gate and renamed.perm == gate.perm and renamed.name == "y"
+    repeated = tuple(perm[:-1]) + (perm[0],)
+    with pytest.raises(NotBijective):
+        dataclasses.replace(gate, perm=repeated)
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 10), specs)
+def test_make_gate_row_forms_agree(width, spec):
+    """Bitstring, Word and bit-tuple rows of one permutation give one gate."""
+    perm = permutation(spec[0], width, spec[1])
+    want = Gate(width, perm, "g")
+    strings = [format(p, f"0{width}b") for p in perm]
+    bit_tuples = [tuple(int(c) for c in row) for row in strings]
+    for rows in (strings, [Word(bits) for bits in bit_tuples], bit_tuples):
+        got = make_gate(width, rows, name="g")
+        assert got == want and got.dumps() == want.dumps()
