@@ -11,8 +11,9 @@ Words and gates are immutable values; every operation is a pure function.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+import struct
+from dataclasses import FrozenInstanceError, dataclass, field
+from functools import cache, cached_property, total_ordering
 from itertools import product, repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -35,28 +36,41 @@ class NotBijective(GateError):
     """An output table repeats a word, so the gate would lose information."""
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering  # by ``bits``; ``==`` is identity, which interning makes bits equality
 class Word:
-    """A fixed-width tuple of bits; position 0 is line x1, the top bit of ``index``."""
+    """A fixed-width tuple of bits; position 0 is line x1, the top bit of ``index``.
 
-    __slots__ = ("bits", "index")  # ``index`` is set from the bits, outside the fields
+    ``Word(bits)`` validates the bits, then returns the interned ``all_words(width)[index]``.
+    """
+
+    __slots__ = ("bits", "index")
     bits: tuple[int, ...]
+    index: int
 
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.bits) <= MAX_WIDTH:
-            raise WrongLength(f"word width must be 1..{MAX_WIDTH}, got {len(self.bits)}")
+    def __new__(cls, bits: tuple[int, ...]) -> "Word":
+        if not 1 <= len(bits) <= MAX_WIDTH:
+            raise WrongLength(f"word width must be 1..{MAX_WIDTH}, got {len(bits)}")
         value = 0
-        for b in self.bits:
+        for b in bits:
             if type(b) is not int or b not in (0, 1):
-                raise ValueError(f"bits must be 0 or 1, got {self.bits!r}")
+                raise ValueError(f"bits must be 0 or 1, got {bits!r}")
             value = (value << 1) | b
-        object.__setattr__(self, "index", value)
+        return all_words(len(bits))[value]
 
-    def __hash__(self) -> int:
-        return self.index
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
         return Word, (self.bits,)
+
+    def __repr__(self) -> str:
+        return f"Word(bits={self.bits!r})"
+
+    def __lt__(self, other: "Word") -> bool:
+        return self.bits < other.bits if type(other) is Word else NotImplemented
 
     @property
     def width(self) -> int:
@@ -71,20 +85,24 @@ class Word:
         return "".join(str(b) for b in self.bits)
 
 
-@lru_cache(maxsize=MAX_WIDTH)
+_WORDS: dict[int, tuple[Word, ...]] = {}  # the intern table: never evicted, as ``==`` is identity
+
+
 def all_words(width: int) -> tuple[Word, ...]:
     """Every word of ``width`` bits in encoding order, built once per width.
 
     ``product`` yields the bit tuples in encoding order, so each word is
     valid by construction and skips ``Word``'s bit-by-bit validation.
     """
+    if width in _WORDS:
+        return _WORDS[width]
     if not 1 <= width <= MAX_WIDTH:
         raise WrongLength(f"word width must be 1..{MAX_WIDTH}, got {width}")
     words = tuple(map(object.__new__, repeat(Word, 1 << width)))
     for index, (word, bits) in enumerate(zip(words, product((0, 1), repeat=width))):
         object.__setattr__(word, "bits", bits)
         object.__setattr__(word, "index", index)
-    return words
+    return _WORDS.setdefault(width, words)  # a racing builder's table is dropped
 
 
 def as_word(value: "Word | str | Sequence[int]") -> Word:
@@ -123,8 +141,8 @@ class Gate:
             raise WrongLength(f"gate width must be 1..{MAX_WIDTH}, got {width}")
         if size != 1 << width:
             raise WrongLength(f"width-{width} gate needs {1 << width} rows, got {size}")
-        if min(self.perm) < 0 or max(self.perm) >= size:
-            raise WidthMismatch(f"width-{width} gate entries must lie in 0..{size - 1}")
+        if set(map(type, self.perm)) != {int} or min(self.perm) < 0 or max(self.perm) >= size:
+            raise WidthMismatch(f"width-{width} gate entries must be ints in 0..{size - 1}")
         if len(set(self.perm)) != size:
             raise NotBijective("output table repeats a word")
 
@@ -166,11 +184,13 @@ class Gate:
 
     def to_json(self) -> dict:
         """JSON form: bitstring position 0 is line x1; round-trips bit-exactly."""
-        spec = f"0{self.width}b"
+        low_width = self.width // 2
+        high, low = _bitstrings(self.width - low_width), _bitstrings(low_width)
+        mask = (1 << low_width) - 1
         return {
             "name": self.name,
             "width": self.width,
-            "table": list(map(format, self.perm, repeat(spec))),
+            "table": [high[p >> low_width] + low[p & mask] for p in self.perm],
         }
 
     @classmethod
@@ -185,6 +205,12 @@ class Gate:
         return cls.from_json(json.loads(text))
 
 
+@cache
+def _bitstrings(width: int) -> tuple[str, ...]:
+    """Every bitstring of ``width`` (0..8: half a gate's width) in encoding order."""
+    return tuple(map("".join, product("01", repeat=width)))
+
+
 def make_gate(width: int, outputs: Iterable["Word | str | Sequence[int]"], name: str = "") -> Gate:
     """Build a gate from its output rows (words, bitstrings or bit sequences) in encoding order."""
     rows = list(outputs)
@@ -192,7 +218,10 @@ def make_gate(width: int, outputs: Iterable["Word | str | Sequence[int]"], name:
     if (1 <= width <= MAX_WIDTH and len(rows) == 1 << width and set(map(type, rows)) == {str}
             and set(map(len, rows)) == {width}
             and not "".join(rows).translate(str.maketrans("", "", "01"))):
-        return Gate(width, tuple(int(r, 2) for r in rows), name)
+        # One base-2 parse of every row, each padded to 16 bits, read back as big-endian uint16s.
+        pad = "0" * (16 - width)
+        data = int(pad + pad.join(rows), 2).to_bytes(2 << width, "big")
+        return Gate(width, struct.unpack(f">{1 << width}H", data), name)
     words = [as_word(out) for out in rows]
     if 1 <= width <= MAX_WIDTH and len(words) == 1 << width:
         for out in words:

@@ -1,5 +1,6 @@
 """Tests for the gate algebra: words, construction, composition, inversion."""
 
+import copy
 import pickle
 
 import pytest
@@ -12,6 +13,8 @@ from revlogic.core import (
     WidthMismatch,
     Word,
     WrongLength,
+    all_words,
+    as_word,
     make_gate,
 )
 from revlogic.library import build
@@ -62,6 +65,74 @@ class TestWord:
         word = Word((1, 0, 1))
         again = pickle.loads(pickle.dumps(word))
         assert again == word and again.index == 5
+
+
+#: A word of width 1..16, as (width, index).
+width_and_index = st.integers(1, 16).flatmap(
+    lambda w: st.tuples(st.just(w), st.integers(0, (1 << w) - 1)))
+
+#: Every way to reach a word from its value or from another word.
+WORD_ROUTES = {
+    "Word": lambda word: Word(word.bits),
+    "Word-list": lambda word: Word(list(word.bits)),
+    "from_string": lambda word: Word.from_string(str(word)),
+    "as_word-str": lambda word: as_word(str(word)),
+    "as_word-bits": lambda word: as_word(list(word.bits)),
+    "pickle": lambda word: pickle.loads(pickle.dumps(word)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+class TestInterning:
+    """A word is the one instance ``all_words(width)[index]``, however it is made."""
+
+    @pytest.mark.parametrize("route", WORD_ROUTES)
+    @settings(max_examples=20)
+    @given(width_and_index)
+    def test_every_route_returns_the_interned_word(self, route, case):
+        width, index = case
+        canonical = all_words(width)[index]
+        made = WORD_ROUTES[route](from_index(width, index))
+        assert made is canonical and made.index == index
+        assert type(made.bits) is tuple and made.bits == canonical.bits
+
+    @settings(max_examples=100)
+    @given(width_and_index, width_and_index, st.sampled_from(["same", "same-width", "any"]))
+    def test_equality_hash_and_order_follow_the_bits(self, first, second, pairing):
+        width, index = first
+        other = {"same": first, "same-width": (width, second[1] % (1 << width)),
+                 "any": second}[pairing]
+        a, b = Word(from_index(width, index).bits), from_index(*other)
+        assert (a == b) is (a.bits == b.bits) and (a != b) is (a.bits != b.bits)
+        if a == b:
+            assert hash(a) == hash(b)
+        assert (a < b, a <= b, a > b, a >= b) == (
+            a.bits < b.bits, a.bits <= b.bits, a.bits > b.bits, a.bits >= b.bits)
+        assert sorted([b, a]) == sorted([a, b], key=lambda word: word.bits)
+
+    def test_orders_only_against_words(self):
+        word = Word((0, 1))
+        assert word != (0, 1) and word != "01"
+        for other in ((0, 1), "01", 1):
+            for compare in (lambda: word < other, lambda: word <= other,
+                            lambda: word > other, lambda: word >= other,
+                            lambda: other < word):
+                with pytest.raises(TypeError):
+                    compare()
+
+    def test_repr(self):
+        assert repr(Word((0, 1, 1))) == "Word(bits=(0, 1, 1))"
+        assert repr(all_words(1)) == "(Word(bits=(0,)), Word(bits=(1,)))"
+
+    @pytest.mark.parametrize("name", ["bits", "index", "other"])
+    def test_is_immutable(self, name):
+        word = Word((1, 0))
+        with pytest.raises(AttributeError):
+            setattr(word, name, (0, 0))
+        with pytest.raises(AttributeError):
+            delattr(word, name)
+        assert word.bits == (1, 0) and word.index == 2 and word is all_words(2)[2]
 
 
 class TestMakeGate:

@@ -4,7 +4,8 @@ Properties run over widths 1..12 with random, involution and
 Hamming-class-preserving permutations, so both flags are exercised on their
 true and false sides; fixed width-16 cases cover the widest gates. Each
 property runs one reference operation, to stay well inside the default
-per-example deadline at width 12.
+per-example deadline at width 12. The bitstring codec is checked at every
+width 1..16, with only a few examples at widths 14..16.
 """
 import dataclasses
 import itertools
@@ -12,7 +13,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import seed_core as ref
@@ -248,29 +249,47 @@ ROW_CASES = [
 @pytest.mark.parametrize("width,outputs,expected", [case[1:] for case in ROW_CASES],
                          ids=[case[0] for case in ROW_CASES])
 def test_make_gate_errors_match_reference(width, outputs, expected):
-    if expected is None:
-        assert make_gate(width, iter(outputs)).table == ref.make_table(width, outputs)
-        return
-    with pytest.raises(expected) as seed_info:
-        ref.make_table(width, outputs)
+    assert assert_make_gate_matches_reference(width, outputs) is expected
+
+
+def assert_make_gate_matches_reference(width, outputs):
+    """``make_gate`` builds the reference's table, or raises the class the reference
+    raises; returns that class, or None for a valid gate."""
+    try:
+        table = ref.make_table(width, outputs)
+    except (ValueError, TypeError) as error:
+        expected = type(error)
+    else:
+        assert make_gate(width, iter(outputs)).table == table
+        return None
     with pytest.raises(expected) as info:
         make_gate(width, iter(outputs))
-    assert type(seed_info.value) is type(info.value) is expected
+    assert type(info.value) is expected
+    return expected
 
 
 def first_fault(width, entries):
     """The error class ``Gate(width, entries)`` owes, read off the definition:
-    width, then length, then range, then "a permutation of range(2**width)"."""
+    width, then length, then range ("an int in 0..2**width-1", so no float
+    or bool), then "a permutation of range(2**width)"."""
     if not 1 <= width <= MAX_WIDTH or len(entries) != 1 << width:
         return WrongLength
-    if not set(entries) <= set(range(1 << width)):
+    if not all(type(e) is int and 0 <= e < 1 << width for e in entries):
         return WidthMismatch
     return None if sorted(entries) == list(range(1 << width)) else NotBijective
 
 
+def entries_near(width):
+    """Entries around 0..2**width-1: mostly ints, sometimes a float or a bool,
+    often one equal to a valid int."""
+    near = st.integers(-1, 1 << width)
+    odd = st.one_of(near.map(float), st.floats(-1, 1 << width), st.booleans())
+    return st.one_of(near, near, near, near, odd)
+
+
 @settings(max_examples=200)
 @given(st.integers(1, 2).flatmap(lambda w: st.tuples(st.just(w), st.lists(
-    st.integers(-1, 1 << w), min_size=(1 << w) - 1, max_size=(1 << w) + 1))))
+    entries_near(w), min_size=(1 << w) - 1, max_size=(1 << w) + 1))))
 def test_gate_accepts_exactly_the_permutations(case):
     width, entries = case
     expected = first_fault(width, entries)
@@ -333,8 +352,15 @@ def test_gate_raises_the_first_fault(width, spec, faults, data):
     (2, (0, 0, -1), WrongLength),
     (2, (4, 4, 1, 3), WidthMismatch),
     (2, (-1, 0, 0, 3), WidthMismatch),
+    (1, (0.5, 1), WidthMismatch),
+    (2, (0, 1, 2.0, 3), WidthMismatch),
+    (2, (0, True, 2, 3), WidthMismatch),
+    (1, (False, True), WidthMismatch),
+    (2, (0.5, 1, 2), WrongLength),
+    (2, (0, True, 1, 3), WidthMismatch),
 ], ids=["width-0", "width-17", "dropped", "extra", "negative", "top", "repeat",
-        "width-before-length", "length-before-range", "range-before-repeat", "negative-and-repeat"])
+        "width-before-length", "length-before-range", "range-before-repeat", "negative-and-repeat",
+        "half", "integral-float", "bool", "bools-only", "length-before-type", "bool-before-repeat"])
 def test_gate_fault_precedence(width, entries, expected):
     with pytest.raises(expected) as info:
         Gate(width, entries)
@@ -367,3 +393,60 @@ def test_make_gate_row_forms_agree(width, spec):
     for rows in (strings, [Word(bits) for bits in bit_tuples], bit_tuples):
         got = make_gate(width, rows, name="g")
         assert got == want and got.dumps() == want.dumps()
+
+
+def assert_codec_matches_format_and_int(width, perm):
+    """Rows are ``format(p, "0wb")`` out and ``int(row, 2)`` in, at every width."""
+    gate = Gate(width, perm)
+    strings = [format(p, f"0{width}b") for p in perm]
+    assert gate.to_json()["table"] == strings
+    assert make_gate(width, strings).perm == tuple(int(row, 2) for row in strings)
+    assert Gate.loads(gate.dumps()) == gate
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 13), specs)
+def test_codec_matches_format_and_int(width, spec):
+    assert_codec_matches_format_and_int(width, permutation(spec[0], width, spec[1]))
+
+
+# Shrinking a failing 2**16-row example would take minutes, so these widths only generate.
+@settings(max_examples=5, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(st.integers(14, 16), specs)
+def test_codec_matches_format_and_int_at_widths_14_to_16(width, spec):
+    assert_codec_matches_format_and_int(width, permutation(spec[0], width, spec[1]))
+
+
+#: Ways to spoil one bitstring row; some spoil it into a row the Word path still reads.
+ROW_MUTATIONS = {
+    "leading-space": lambda row: " " + row,
+    "space-for-first-char": lambda row: " " + row[1:],
+    "trailing-newline": lambda row: row + "\n",
+    "inner-tab": lambda row: row[:1] + "\t" + row[1:],
+    "underscore": lambda row: row[:1] + "_" + row[1:],
+    "underscore-for-a-char": lambda row: row[:-2] + "_" + row[-1:],
+    "plus": lambda row: "+" + row,
+    "plus-for-first-char": lambda row: "+" + row[1:],
+    "minus": lambda row: "-" + row,
+    "0b-prefix": lambda row: "0b" + row,
+    "0b-over-top-bits": lambda row: "0b" + row[2:],
+    "arabic-indic-digits": lambda row: row.translate(str.maketrans("01", "٠١")),
+    "fullwidth-digit": lambda row: row[:-1] + "０１"[int(row[-1])],
+    "letter": lambda row: row[:-1] + "a",
+    "dropped-char": lambda row: row[:-1],
+    "extra-char": lambda row: row + "0",
+    "empty": lambda row: "",
+    "int": lambda row: int(row, 2),
+    "bytes": lambda row: row.encode(),
+    "bit-tuple": lambda row: tuple(map(int, row)),
+    "none": lambda row: None,
+}
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 8), specs, st.sampled_from(list(ROW_MUTATIONS)), st.data())
+def test_make_gate_malformed_row_matches_reference(width, spec, mutation, data):
+    outputs = rows(spec[0], width, spec[1])
+    at = data.draw(st.integers(0, len(outputs) - 1))
+    outputs[at] = ROW_MUTATIONS[mutation](outputs[at])
+    assert_make_gate_matches_reference(width, outputs)
