@@ -11,6 +11,7 @@ Words and gates are immutable values; every operation is a pure function.
 from __future__ import annotations
 
 import json
+import operator
 import struct
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cache, cached_property, total_ordering
@@ -178,9 +179,10 @@ class Gate:
 
     def flags(self) -> GateFlags:
         """Structural predicates, each decided by exhaustive enumeration."""
-        p, codes = self.perm, range(len(self.perm))
-        return GateFlags(tuple(map(p.__getitem__, p)) == tuple(codes),
-                         list(map(int.bit_count, p)) == list(map(int.bit_count, codes)))
+        p = self.perm
+        # the first row with p[p[i]] != i decides; no identity tuple is built or kept
+        return GateFlags(all(map(operator.eq, map(p.__getitem__, p), range(len(p)))),
+                         tuple(map(int.bit_count, p)) == _hamming_weights(self.width))
 
     def to_json(self) -> dict:
         """JSON form: bitstring position 0 is line x1; round-trips bit-exactly."""
@@ -203,6 +205,12 @@ class Gate:
     @classmethod
     def loads(cls, text: str) -> "Gate":
         return cls.from_json(json.loads(text))
+
+
+@cache
+def _hamming_weights(width: int) -> tuple[int, ...]:
+    """The number of 1 bits of every ``width``-bit code, in encoding order."""
+    return tuple(map(int.bit_count, range(1 << width)))
 
 
 @cache

@@ -11,7 +11,9 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import repeat
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Hashable, Mapping
 
 from .core import Gate, Word, all_words
@@ -36,7 +38,12 @@ class NonphysicalTemperature(ValueError):
 
 @dataclass(frozen=True)
 class Distribution:
-    """Probabilities over input words (or any hashable outcomes)."""
+    """Probabilities over input words (or any hashable outcomes).
+
+    The mapping is kept, not copied, and must not change after construction:
+    the checks in ``__post_init__`` and the cached entropy and weight describe
+    it as it was given.
+    """
 
     probabilities: Mapping[Hashable, float]
 
@@ -56,8 +63,14 @@ class Distribution:
         return cls(dict.fromkeys(outcomes, 1.0 / len(outcomes)))
 
     @classmethod
+    @cache
     def uniform_words(cls, width: int) -> "Distribution":
-        return cls.uniform(all_words(width))
+        """The uniform distribution over ``all_words(width)``, in that order.
+
+        One shared instance per width, so its mapping is read-only.
+        """
+        words = all_words(width)
+        return cls(MappingProxyType(dict.fromkeys(words, 1.0 / len(words))))
 
     @classmethod
     def random_words(cls, width: int, rng: np.random.Generator) -> "Distribution":
@@ -65,15 +78,31 @@ class Distribution:
         raw /= raw.sum()
         return cls(dict(zip(all_words(width), raw.tolist())))
 
+    def __reduce__(self) -> tuple:
+        # a plain dict: a read-only mapping does not pickle, and the caches rebuild on use
+        return type(self), (dict(self.probabilities),)
+
+    @cached_property
+    def entropy_bits(self) -> float:
+        """Entropy in bits, with 0 * log 0 = 0."""
+        return _entropy_bits(Counter(self.probabilities.values()))
+
+    @cached_property
+    def weight(self) -> float | None:
+        """The one probability every outcome has, or None when they differ."""
+        weights = set(self.probabilities.values())
+        return weights.pop() if len(weights) == 1 else None
+
 
 def shannon_entropy(dist: Distribution) -> float:
     """Entropy in bits, with 0 * log 0 = 0."""
-    return _entropy_bits(Counter(dist.probabilities.values()))
+    return dist.entropy_bits
 
 
 def _entropy_bits(multiplicity: Mapping[float, int]) -> float:
-    # one log2 per distinct probability: a uniform distribution costs one
-    return -sum(n * p * math.log2(p) for p, n in multiplicity.items() if p > 0)
+    # one log2 per distinct probability: a uniform distribution costs one;
+    # `0.0 - s` is `-s` for every nonzero sum, but 0.0, not -0.0, for a point mass
+    return 0.0 - sum(n * p * math.log2(p) for p, n in multiplicity.items() if p > 0)
 
 
 @dataclass(frozen=True)
@@ -115,7 +144,7 @@ def info_loss(table: Mapping[Word, Hashable], dist: Distribution) -> EnergyRepor
     probs = dist.probabilities
     # Keys that are the same objects in the same order need no lookups.
     if len(probs) == len(table) and all(map(operator.is_, probs, table)):
-        weights, outputs = list(probs.values()), table.values()
+        weights, outputs, weight = probs.values(), table.values(), dist.weight
     else:
         weights, outputs = [], []
         for word, p in probs.items():
@@ -125,10 +154,13 @@ def info_loss(table: Mapping[Word, Hashable], dist: Distribution) -> EnergyRepor
                 raise InvalidDistribution(f"table undefined on supported input {word}")
             weights.append(p)
             outputs.append(table[word])
-    if len(set(weights)) == 1:
-        # equal weights: a fibre's mass is its size times the weight, so group fibres by size
-        sizes = Counter(Counter(outputs).values())
-        masses = {n * weights[0]: count for n, count in sizes.items()}
+        weight = weights[0] if len(set(weights)) == 1 else None
+    if weight is not None:
+        # equal weights: a fibre's mass is its size times the weight, so group fibres by
+        # size; a bijection's fibres are all of size 1
+        n = len(outputs)
+        sizes = {1: n} if len(set(outputs)) == n else Counter(Counter(outputs).values())
+        masses = {size * weight: count for size, count in sizes.items()}
     else:
         pushed: dict[Hashable, float] = {}
         for out, p in zip(outputs, weights):
@@ -145,8 +177,8 @@ def info_loss(table: Mapping[Word, Hashable], dist: Distribution) -> EnergyRepor
 
 def landauer_energy(bits: float, temperature_K: float) -> float:
     """Minimum dissipation for erasing ``bits`` at ``temperature_K`` kelvin."""
-    if not bits >= 0:
-        raise ValueError(f"erased bits must be >= 0, got {bits}")
+    if not 0 <= bits < math.inf:
+        raise ValueError(f"erased bits must be finite and >= 0, got {bits}")
     if not 0 < temperature_K < math.inf:
         raise NonphysicalTemperature(f"temperature must be finite and > 0 K, got {temperature_K}")
     return bits * BOLTZMANN_JK * temperature_K * math.log(2)
@@ -171,7 +203,8 @@ def transfer_table(
         inputs, outputs = map(words.__getitem__, codes), map(gate.perm.__getitem__, codes)
     if project_line is None:
         return dict(zip(inputs, map(words.__getitem__, outputs)))
-    if not 1 <= project_line <= gate.width:
-        raise ValueError(f"output line {project_line} outside 1..{gate.width}")
+    # a float or str line gets this ValueError too, not a TypeError from `>>` or `<=`
+    if not (isinstance(project_line, int) and 1 <= project_line <= gate.width):
+        raise ValueError(f"output line {project_line!r} outside 1..{gate.width}")
     shift = gate.width - project_line
     return {word: (out >> shift) & 1 for word, out in zip(inputs, outputs)}

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golden import GATE_ROWS
 from revlogic import machine
@@ -230,6 +232,13 @@ class TestEnergy:
         assert result.exit_code == 2
         assert "NaN" not in result.output and "Infinity" not in result.output
 
+    def test_point_mass_output_prints_positive_zero(self, runner):
+        result = runner.invoke(main, ["energy", "--gate", "cl", "--fix", "x1=0", "--project", "1"])
+        assert result.exit_code == 0
+        assert '"output_entropy_bits": 0.0,' in result.stdout
+        assert "-0.0" not in result.stdout
+        assert json.loads(result.stdout)["erased_bits"] == 2.0
+
     def test_readme_example_matches_the_cli(self, runner):
         readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
         command, shown = re.search(r"^\$ revlogic (energy .*)\n([^`]*)```", readme, re.M).groups()
@@ -295,3 +304,63 @@ class TestVerifyAll:
         result = runner.invoke(main, ["verify-all", "--json"])
         assert result.exit_code == 1
         assert json.loads(result.output)[0] == {"check": label, "passed": False}
+
+
+#: Option values at the edge of every parser: non-finite and extreme floats, a
+#: signed zero, an int past 64 bits, fixings off both ends of a 3-line gate, the
+#: empty string, and every gate id.
+EDGE_VALUES = ["nan", "inf", "-0", "1e308", "5e-324", "1234567890123456789012",
+               "x0=0", "x4=1", ""] + [gate_id.value for gate_id in GateId]
+
+
+def option(name, valid=st.nothing()):
+    """``name`` with an edge value or a valid one, or left out."""
+    values = st.sampled_from(EDGE_VALUES) | valid
+    return st.just([]) | values.map(lambda value: [name, value])
+
+
+def flag(name):
+    return st.sampled_from([[], [name]])
+
+
+def command(*words, parts=()):
+    return st.tuples(*parts).map(lambda drawn: [*words, *(arg for part in drawn for arg in part)])
+
+
+ordinary = st.sampled_from(["0.1", "1", "30"])
+gate_arg = st.sampled_from(EDGE_VALUES).map(lambda value: [value])
+#: every verb with each of its options drawn; --n stays at most 10**4 unless rejected
+FUZZED_VERBS = {
+    "gates list": command("gates", "list"),
+    "gates show": command("gates", "show", parts=(gate_arg, flag("--json"))),
+    "derive": command("derive", parts=(gate_arg, flag("--json"))),
+    "simulate": command("simulate", parts=(
+        option("--input", st.sampled_from(["00", "01", "10", "11"])),
+        option("--n", st.integers(1, 10**4).map(str)),
+        option("--seed", st.integers(0, 99).map(str)),
+        option("--sigma", ordinary), option("--bin-width", ordinary),
+        option("--alpha-hat1", ordinary), option("--alpha-tilde1", ordinary),
+        option("--alpha2", ordinary), flag("--distinguishable"), flag("--json"))),
+    "machine": command("machine", parts=(
+        option("--norm", st.sampled_from([norm.value for norm in machine.NormalizationId])),
+        flag("--all"), flag("--distinguishable"), flag("--json"))),
+    "energy": command("energy", parts=(
+        option("--gate"), option("--project", st.sampled_from(["1", "2", "3"])),
+        option("--fix", st.sampled_from(["x1=0", "x3=1"])),
+        option("--fix", st.sampled_from(["x2=0", "x3=0"])),
+        option("--temp", ordinary))),
+    "verify-all": command("verify-all", parts=(flag("--json"),)),
+}
+
+
+@pytest.mark.parametrize("verb", FUZZED_VERBS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_fuzzed_options_exit_cleanly(verb, data):
+    args = data.draw(FUZZED_VERBS[verb], label="args")
+    result = CliRunner().invoke(main, args)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
+    assert result.exit_code in (0, 1, 2)
+    if result.exit_code == 0:
+        for bad in ("NaN", "Infinity", "-0.0"):
+            assert bad not in result.stdout

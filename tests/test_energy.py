@@ -1,15 +1,17 @@
 """Tests for entropy accounting and the Landauer bound."""
 
+import copy
 import math
+import pickle
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from revlogic.core import Word, make_gate
+from revlogic.core import Word, all_words, make_gate
 from revlogic.derivation import Fixing, InvalidFixing, input_codes
 from revlogic.energy import (
     BOLTZMANN_JK,
@@ -114,6 +116,53 @@ class TestInfoLoss:
         with pytest.raises(InvalidDistribution):
             info_loss({Word((0,)): 0}, Distribution.uniform_words(1))
 
+    @pytest.mark.parametrize("line", [1.5, 1.0, "1", 0, 4])
+    def test_project_line_must_be_an_int_on_the_gate(self, line):
+        with pytest.raises(ValueError, match=r"output line .* outside 1\.\.3"):
+            transfer_table(build("cl"), project_line=line)
+        with pytest.raises(ValueError, match=r"output line .* outside 1\.\.3"):
+            transfer_table(build("cl"), Fixing.of(3, {3: 0}), project_line=line)
+
+    def test_point_mass_output_has_positive_zero_entropy(self):
+        table = transfer_table(build("cl"), Fixing.of(3, {1: 0}), project_line=1)
+        report = info_loss(table, Distribution.uniform(table.keys()))
+        assert report.output_entropy_bits == 0.0
+        assert math.copysign(1.0, report.output_entropy_bits) == 1.0
+        assert math.copysign(1.0, shannon_entropy(Distribution({"x": 1.0}))) == 1.0
+
+
+class TestSharedUniform:
+    @pytest.mark.parametrize("width", [1, 3, 8, 16])
+    def test_one_instance_per_width_equal_to_a_built_one(self, width):
+        shared = Distribution.uniform_words(width)
+        built = Distribution.uniform(all_words(width))
+        assert Distribution.uniform_words(width) is shared
+        assert shared == built and built == shared
+        assert list(shared.probabilities) == list(all_words(width))
+        assert shannon_entropy(shared) == shannon_entropy(built) == width
+
+    def test_read_only(self):
+        probs = Distribution.uniform_words(2).probabilities
+        with pytest.raises(TypeError):
+            probs[Word((0, 0))] = 1.0
+        with pytest.raises(TypeError):
+            del probs[Word((0, 0))]
+        assert probs[Word((0, 0))] == 0.25
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        shared = Distribution.uniform_words(3)
+        shannon_entropy(shared)  # a filled cache must not stop either
+        for clone in (pickle.loads(pickle.dumps(shared)), copy.deepcopy(shared)):
+            assert clone == shared and clone is not shared
+            assert shannon_entropy(clone) == 3.0
+            assert info_loss(transfer_table(build("cl")), clone) == info_loss(
+                transfer_table(build("cl")), shared)
+
+    def test_weight_is_the_common_probability_or_none(self):
+        assert Distribution.uniform_words(4).weight == 1 / 16
+        assert Distribution({"a": 0.25, "b": 0.75}).weight is None
+        assert Distribution({"a": 0.5, "b": 0.5, "c": 0.0}).weight is None
+
 
 class TestLandauerEnergy:
     def test_one_bit_at_room_temperature(self):
@@ -143,6 +192,11 @@ class TestLandauerEnergy:
             landauer_energy(1.0, -3.0)
         with pytest.raises(ValueError):
             landauer_energy(-0.5, 300.0)
+
+    @pytest.mark.parametrize("bits", [math.inf, -math.inf, math.nan])
+    def test_non_finite_bits(self, bits):
+        with pytest.raises(ValueError, match="erased bits must be finite and >= 0"):
+            landauer_energy(bits, 300.0)
 
     @pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
     def test_non_finite_temperature(self, temperature):
@@ -264,3 +318,55 @@ def test_both_paths_skip_zero_weights_and_reject_missing_inputs(case):
         info_loss(without_last, Distribution.uniform(keys))
     with pytest.raises(InvalidDistribution, match="table undefined on supported input"):
         info_loss(dict(reversed(without_last.items())), random_distribution(keys, seed))
+
+
+def uniform_cases(width, seed, kept):
+    """A table on ``all_words(width)`` from a random permutation: a bijection when
+    ``kept`` is None, else each output reduced to the ``kept`` lowest bits, so
+    that every fibre has the same power-of-two mass and every sum is exact."""
+    perm = list(range(1 << width))
+    random.Random(seed).shuffle(perm)
+    words = all_words(width)
+    if kept is None:
+        return dict(zip(words, map(words.__getitem__, perm)))
+    return {word: out & ((1 << kept) - 1) for word, out in zip(words, perm)}
+
+
+def assert_every_uniform_path_gives_the_oracle(table, width, exact=True):
+    """The shared distribution, an equal one the caller built, and the table in
+    reversed order (the lookup path) against the per-row reference."""
+    expected = reference_report(table, Distribution.uniform(all_words(width)))
+    shared = info_loss(table, Distribution.uniform_words(width))
+    built = info_loss(table, Distribution.uniform(all_words(width)))
+    reordered = info_loss(dict(reversed(table.items())), Distribution.uniform_words(width))
+    assert shared == built
+    if exact:
+        assert shared == reordered == expected
+    else:
+        # the fibre masses are summed in another order on the lookup path
+        assert_reports_agree(reordered, expected)
+        assert_reports_agree(shared, expected)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 12).flatmap(lambda w: st.tuples(
+    st.just(w), st.integers(0, 2**32 - 1), st.none() | st.integers(0, w - 1))))
+def test_uniform_paths_give_exactly_the_oracle_report(case):
+    width, seed, kept = case
+    assert_every_uniform_path_gives_the_oracle(uniform_cases(width, seed, kept), width)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_uniform_paths_agree_on_uneven_fibres(width, seed, outputs):
+    """Fibres of any size; their masses' logs are inexact, so the oracle gets 1e-12."""
+    rnd = random.Random(seed)
+    table = {word: rnd.randrange(outputs) for word in all_words(width)}
+    assert_every_uniform_path_gives_the_oracle(table, width, exact=False)
+
+
+# Shrinking a failing 2**16-row example would take minutes, so this width only generates.
+@settings(max_examples=3, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(st.integers(0, 2**32 - 1), st.none() | st.integers(0, 15))
+def test_uniform_paths_give_exactly_the_oracle_report_at_width_16(seed, kept):
+    assert_every_uniform_path_gives_the_oracle(uniform_cases(16, seed, kept), 16)

@@ -188,6 +188,31 @@ def test_width_16_flags(kind):
     assert gate.flags() == GateFlags(kind == "involution", kind == "conservative")
 
 
+def direct_flags(perm):
+    """Self-reversible: p(p(i)) = i for every i; conservative: p keeps every i's count of 1 bits."""
+    return GateFlags(all(perm[perm[i]] == i for i in range(len(perm))),
+                     all(bin(out).count("1") == bin(i).count("1") for i, out in enumerate(perm)))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 13), specs, st.none() | st.tuples(st.floats(0, 1), st.floats(0, 1)))
+def test_flags_match_the_direct_definition(width, spec, swap):
+    perm = permutation(spec[0], width, spec[1])
+    if swap is not None:
+        # one transposition anywhere: a flag that held must be found broken wherever it breaks
+        a, b = (int(x * (len(perm) - 1)) for x in swap)
+        perm[a], perm[b] = perm[b], perm[a]
+    assert Gate(width, perm).flags() == direct_flags(perm)
+
+
+# Shrinking a failing 2**16-row example would take minutes, so these widths only generate.
+@settings(max_examples=6, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(st.integers(14, 16), specs)
+def test_flags_match_the_direct_definition_at_widths_14_to_16(width, spec):
+    perm = permutation(spec[0], width, spec[1])
+    assert Gate(width, perm).flags() == direct_flags(perm)
+
+
 def test_width_16_json_and_transfer_tables(wide):
     gate, table = wide
     assert gate.to_json() == ref.to_json(table)
