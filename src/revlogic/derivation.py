@@ -37,9 +37,9 @@ class Fixing:
         if len(set(lines)) != len(lines):
             raise InvalidFixing(f"line assigned twice in {self.fixed}")
         for line, bit in self.fixed:
-            if not 1 <= line <= self.width:
-                raise InvalidFixing(f"line {line} outside 1..{self.width}")
-            if bit not in (0, 1):
+            if type(line) is not int or not 1 <= line <= self.width:
+                raise InvalidFixing(f"line {line!r} outside 1..{self.width}")
+            if type(bit) is not int or bit not in (0, 1):
                 raise InvalidFixing(f"fixed value must be a bit, got {bit!r}")
         if len(self.fixed) >= self.width:
             raise InvalidFixing("at least one line must remain free")

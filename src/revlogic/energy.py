@@ -14,13 +14,10 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import repeat
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Hashable, Mapping
+from typing import Hashable, Mapping
 
 from .core import Gate, Word, all_words
 from .derivation import Fixing, input_codes
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Boltzmann constant, exact SI value, J/K.
 BOLTZMANN_JK = 1.380649e-23
@@ -71,12 +68,6 @@ class Distribution:
         """
         words = all_words(width)
         return cls(MappingProxyType(dict.fromkeys(words, 1.0 / len(words))))
-
-    @classmethod
-    def random_words(cls, width: int, rng: np.random.Generator) -> "Distribution":
-        raw = rng.random(1 << width)
-        raw /= raw.sum()
-        return cls(dict(zip(all_words(width), raw.tolist())))
 
     def __reduce__(self) -> tuple:
         # a plain dict: a read-only mapping does not pickle, and the caches rebuild on use

@@ -5,24 +5,26 @@ convention. Picking a different function from the memory makes the very same
 physical transitions compute a different connective, and each choice
 reproduces, row for row, one restriction of a self-reversible 3-line gate:
 
-    u1        0 iff angle = 0          -> CL      x3=0   OR
-    1 - u1                             -> CL      x3=1   NOR
-    u2        0 iff angle <= 1         -> TOFFOLI x3=0   AND
-    1 - u2                             -> TOFFOLI x3=1   NAND
-    u3        1 iff 0 < angle <= 1     -> X       x3=0   XOR
-    1 - u3                             -> X       x3=1   NXOR
-    u4        by nearest rest angle    -> I       x3=1   IMPLIES_AB
-    delta     |u1(in) - u1(out)|       -> CL      x1=0   XOR
+    u1     bands 0 | 1, edge 0 (ZERO_TOL)                 -> CL      x3=0   OR
+    u1bar  u1's bands, bits flipped                       -> CL      x3=1   NOR
+    u2     bands 0 | 1, edge 1                            -> TOFFOLI x3=0   AND
+    u2bar  u2's bands, bits flipped                       -> TOFFOLI x3=1   NAND
+    u3     bands 0 | 1 | 0, edges 0 and 1                 -> X       x3=0   XOR
+    u3bar  u3's bands, bits flipped                       -> X       x3=1   NXOR
+    u4     class vector (1, 1, 0, 1) at DD, DA, AD, AA    -> I       x3=1   IMPLIES_AB
+    delta  |u1(in) - u1(out)|                             -> CL      x1=0   XOR
 
-u4 needs a config that resolves the two one-probe angles. The delta form is
-the odd one out: it varies the initial angle as a genuine input, so line 1
-(probe 1, held off) is the ancilla instead of line 3.
+u4 reads the rest angle within ``u4_tolerance``, so it needs a config that resolves the two
+one-probe angles. The delta form is the odd one out: it varies the initial angle as a genuine
+input, so line 1 (probe 1, held off) is the ancilla instead of line 3.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 
 from .core import Word, all_words
 from .derivation import (
@@ -33,7 +35,7 @@ from .derivation import (
     derived_connectives,
     input_codes,
 )
-from .device import DA, PROBE_STATES, DeviceConfig, ProbeState, equilibrium_angle
+from .device import PROBE_STATES, DeviceConfig, equilibrium_angle
 from .library import GateId, build
 
 #: Zero-angle tolerance of u1 and u3, for noiseless (equilibrium) angles.
@@ -50,6 +52,11 @@ class NormalizationId(str, Enum):
     U3_BAR = "u3bar"
     U4 = "u4"
     DELTA_U1 = "delta"
+
+
+#: The memory: bands of u1, u2 and u3 (inclusive upper edges, bits), u4's bit at each rest angle.
+_BANDS = {"u1": ((ZERO_TOL,), (0, 1)), "u2": ((1.0,), (0, 1)), "u3": ((ZERO_TOL, 1.0), (0, 1, 0))}
+_U4_CLASSES = (1, 1, 0, 1)
 
 
 class U4Unclassifiable(ValueError):
@@ -70,27 +77,21 @@ def normalize(
     """Apply one angle-to-bit normalization function."""
     norm = NormalizationId(norm)
     cfg = cfg or DeviceConfig()
-    if not 0 <= alpha < math.inf:
+    if not (isinstance(alpha, Real) and 0 <= alpha < math.inf):
         raise ValueError(f"angles are measured from the vertical, must be finite and >= 0, "
-                         f"got {alpha}")
+                         f"got {alpha!r}")
     if norm is NormalizationId.DELTA_U1:
         raise ValueError("the delta form maps an angle pair; use delta_normalize")
     if norm is NormalizationId.U4:
         if not cfg.distinguishable:
             raise U4Unclassifiable("u4 needs a config that resolves the two one-probe angles")
         tol = u4_tolerance(cfg)
-        for mean, bit in ((0.0, 1), (cfg.alpha_hat1, 1), (cfg.alpha_tilde1, 0), (cfg.alpha2, 1)):
-            if abs(alpha - mean) <= tol:
+        for ps, bit in zip(PROBE_STATES, _U4_CLASSES):
+            if abs(alpha - equilibrium_angle(ps, cfg)) <= tol:
                 return bit
         raise U4Unclassifiable(f"angle {alpha} is not near any configured rest angle")
-    if norm in (NormalizationId.U1, NormalizationId.U1_BAR):
-        value = 0 if alpha <= ZERO_TOL else 1
-        return value if norm is NormalizationId.U1 else 1 - value
-    if norm in (NormalizationId.U2, NormalizationId.U2_BAR):
-        value = 0 if alpha <= 1 else 1
-        return value if norm is NormalizationId.U2 else 1 - value
-    value = 1 if ZERO_TOL < alpha <= 1 else 0
-    return value if norm is NormalizationId.U3 else 1 - value
+    edges, bits = _BANDS[norm.value.removesuffix("bar")]  # a bar flips its base's bits
+    return bits[bisect_left(edges, alpha)] ^ norm.value.endswith("bar")
 
 
 def delta_normalize(alpha_i: float, alpha_o: float) -> int:
@@ -124,19 +125,18 @@ def machine_table(norm: "NormalizationId | str", cfg: DeviceConfig | None = None
     norm = NormalizationId(norm)
     cfg = cfg or DeviceConfig(distinguishable=norm is NormalizationId.U4)
 
-    if norm is NormalizationId.DELTA_U1:
-        # Probe 1 held off; probe 2 and the initial angle are the inputs. The
-        # vertical start reads x3 = 0, so rows come out in input-encoding order.
-        inputs, truth = [], []
-        for p2 in (0, 1):
-            for alpha_i in (0.0, equilibrium_angle(DA, cfg)):
-                inputs.append((0, p2, normalize(NormalizationId.U1, alpha_i)))
-                truth.append(delta_normalize(alpha_i, equilibrium_angle(ProbeState((0, p2)), cfg)))
+    # The class vector (u1's for delta) at each rest angle; DD's, f[0], is a vertical start's.
+    base = NormalizationId.U1 if norm is NormalizationId.DELTA_U1 else norm
+    f = [normalize(base, equilibrium_angle(ps, cfg), cfg) for ps in PROBE_STATES]
+    if base is not norm:
+        # Probe 1 held off; probe 2 and the initial angle are the inputs, out = x3 xor
+        # f(0, p2). The vertical start reads x3 = 0, so rows come out in input-encoding order.
+        inputs = [(0, p2, x3) for p2 in (0, 1) for x3 in f[:2]]
+        truth = [x3 ^ f[p2] for _, p2, x3 in inputs]
         ancilla_line, free_lines = 1, (2, 3)
     else:
-        x3 = normalize(norm, 0.0, cfg)
-        inputs = [ps.bits + (x3,) for ps in PROBE_STATES]
-        truth = [normalize(norm, equilibrium_angle(ps, cfg), cfg) for ps in PROBE_STATES]
+        inputs = [ps.bits + (f[0],) for ps in PROBE_STATES]
+        truth = f
         ancilla_line, free_lines = 3, (1, 2)
     rows = tuple((Word(bits), Word(bits[:2] + (out,))) for bits, out in zip(inputs, truth))
     connective = classify(BooleanFunction.from_truth(free_lines, tuple(truth)))

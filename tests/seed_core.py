@@ -6,12 +6,21 @@ words rather than as an integer permutation. A table is a tuple of words,
 encoding is re-derived here bit by bit, so the reference shares no integer
 arithmetic with the permutation core it is compared against.
 
-``identity_gate``, ``from_index`` and ``full_word`` also stand in for names
-the package no longer carries because only tests used them.
+``identity_gate``, ``from_index``, ``full_word`` and ``random_words`` also
+stand in for names the package no longer carries because only tests used them.
 """
 import itertools
 
-from revlogic.core import MAX_WIDTH, Gate, NotBijective, WidthMismatch, Word, WrongLength
+from revlogic.core import (
+    MAX_WIDTH,
+    Gate,
+    NotBijective,
+    WidthMismatch,
+    Word,
+    WrongLength,
+    all_words,
+)
+from revlogic.energy import Distribution
 
 
 def index(word):
@@ -37,6 +46,13 @@ def full_word(fixing, free_bits):
     for line, bit in zip(fixing.free, free_bits):
         bits[line - 1] = bit
     return Word(tuple(bits))
+
+
+def random_words(width, rng):
+    """A random distribution over every word of ``width`` bits, drawn from a numpy Generator."""
+    raw = rng.random(1 << width)
+    raw /= raw.sum()
+    return Distribution(dict(zip(all_words(width), raw.tolist())))
 
 
 def as_word(value):

@@ -29,6 +29,7 @@ from revlogic.machine import (
     normalize,
     verify_conclusion,
 )
+from seed_core import random_words
 
 GATE_IDS = ("cl", "toffoli", "x", "i")
 SEED = 7
@@ -138,7 +139,7 @@ def test_c6_energy_accounting():
             gate = build(gate_id)
             table = transfer_table(gate)
             dists = [Distribution.uniform_words(gate.width)]
-            dists += [Distribution.random_words(gate.width, rng) for _ in range(10)]
+            dists += [random_words(gate.width, rng) for _ in range(10)]
             for dist in dists:
                 assert abs(info_loss(table, dist).erased_bits) < 1e-12, gate_id
 

@@ -80,6 +80,14 @@ class TestFixing:
         with pytest.raises(InvalidFixing):
             Fixing.of(2, {1: 0, 2: 0})
 
+    @pytest.mark.parametrize("assignments", [
+        {1: True}, {True: 0}, {1.0: 0}, {2: 1.0}, {2: "1"}, {"2": 1}, {2: None},
+    ])
+    def test_lines_and_bits_must_be_ints(self, assignments):
+        # bool and float would pass the range checks, then mislabel or break input_codes
+        with pytest.raises(InvalidFixing):
+            Fixing.of(3, assignments)
+
 
 class TestRestrict:
     @pytest.mark.parametrize("gate_id,line,bit", [

@@ -25,7 +25,7 @@ from revlogic.energy import (
     transfer_table,
 )
 from revlogic.library import all_gate_ids, build
-from seed_core import from_index
+from seed_core import from_index, random_words
 
 # The classic two-in/one-out OR table.
 OR_TABLE = {
@@ -104,7 +104,7 @@ class TestInfoLoss:
             gate = build(gate_id)
             table = transfer_table(gate)
             dists = [Distribution.uniform_words(gate.width)]
-            dists += [Distribution.random_words(gate.width, rng) for _ in range(10)]
+            dists += [random_words(gate.width, rng) for _ in range(10)]
             for dist in dists:
                 assert abs(info_loss(table, dist).erased_bits) <= 1e-12, gate_id
 

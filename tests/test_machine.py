@@ -1,17 +1,22 @@
 """Tests for the normalization memory and the gate-restriction verdicts."""
 
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from golden import RESTRICTION_ROWS
-from revlogic.core import Word
-from revlogic.derivation import Connective, Fixing, restrict
+from revlogic.core import Gate, Word
+from revlogic.derivation import Connective, Fixing, classify, output_function, restrict
 from revlogic.device import AA, DA, DD, PROBE_STATES, DeviceConfig, equilibrium_angle, sample_many
 from revlogic.library import GateId, build
 from revlogic.machine import (
     CONCLUSIONS,
+    ZERO_TOL,
     NormalizationId,
     U4Unclassifiable,
     coherence_check,
@@ -24,8 +29,75 @@ from revlogic.machine import (
     verify_conclusion,
 )
 from seed_core import full_word
+from test_derivation import direct_name
 
 DISTINGUISHABLE = DeviceConfig(distinguishable=True)
+
+#: Every bit vector over the rest-angle classes (DD, DA, AD, AA), i.e. over PROBE_STATES.
+CLASS_VECTORS = tuple(itertools.product((0, 1), repeat=4))
+
+
+def branch_normalize(norm, alpha, cfg=None):
+    """The normalizations written out as one branch each, with the rest angles
+    listed by hand: an oracle independent of the band table and class vector."""
+    norm = NormalizationId(norm)
+    cfg = cfg or DeviceConfig()
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"angles are measured from the vertical, must be finite and >= 0, "
+                         f"got {alpha}")
+    if norm is NormalizationId.DELTA_U1:
+        raise ValueError("the delta form maps an angle pair; use delta_normalize")
+    if norm is NormalizationId.U4:
+        if not cfg.distinguishable:
+            raise U4Unclassifiable("u4 needs a config that resolves the two one-probe angles")
+        tol = u4_tolerance(cfg)
+        for mean, bit in ((0.0, 1), (cfg.alpha_hat1, 1), (cfg.alpha_tilde1, 0), (cfg.alpha2, 1)):
+            if abs(alpha - mean) <= tol:
+                return bit
+        raise U4Unclassifiable(f"angle {alpha} is not near any configured rest angle")
+    if norm in (NormalizationId.U1, NormalizationId.U1_BAR):
+        value = 0 if alpha <= ZERO_TOL else 1
+        return value if norm is NormalizationId.U1 else 1 - value
+    if norm in (NormalizationId.U2, NormalizationId.U2_BAR):
+        value = 0 if alpha <= 1 else 1
+        return value if norm is NormalizationId.U2 else 1 - value
+    value = 1 if ZERO_TOL < alpha <= 1 else 0
+    return value if norm is NormalizationId.U3 else 1 - value
+
+
+def outcome(fn, *args):
+    """The bit ``fn`` returns, or the class and message of what it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def distinguishable_configs(draw):
+    hat, tilde = sorted(draw(st.lists(st.floats(0.001, 0.999), min_size=2, max_size=2)))
+    assume(hat < tilde)
+    alpha2 = draw(st.floats(1.0, 2.0, exclude_min=True))
+    return DeviceConfig(hat, tilde, alpha2, distinguishable=True)
+
+
+def law_gate(f):
+    """The self-inverse controlled gate x3' = x3 xor g(x1, x2), g = f xor f(DD), by formula."""
+    g = [bit ^ f[0] for bit in f]
+    return Gate(3, tuple(code ^ g[code >> 1] for code in range(8)))
+
+
+def class_vector(table):
+    """The output bit of each machine row; for a line-3 ancilla, f over PROBE_STATES."""
+    return tuple(out.bits[2] for _, out in table.rows)
+
+
+def readable(f, cfg):
+    """Whether f is a function of the rest angle: probe states resting alike read alike."""
+    bits_at = {}
+    for ps, bit in zip(PROBE_STATES, f):
+        bits_at.setdefault(equilibrium_angle(ps, cfg), set()).add(bit)
+    return all(len(bits) == 1 for bits in bits_at.values())
 
 
 class TestNormalize:
@@ -81,6 +153,48 @@ class TestNormalize:
             normalize("u1", alpha)
         with pytest.raises(ValueError):
             delta_normalize(0.0, alpha)
+
+    @pytest.mark.parametrize("alpha", ["0.5", "a", None, [0.5], 1j])
+    def test_non_number_angle_gets_the_nan_error(self, alpha):
+        message = outcome(normalize, "u1", float("nan"))[1].replace("nan", repr(alpha))
+        for norm in ("u1", "u3bar", "u4", "delta"):
+            assert outcome(normalize, norm, alpha, DISTINGUISHABLE) == (ValueError, message)
+        assert outcome(delta_normalize, alpha, 0.0) == (ValueError, message)
+        assert outcome(delta_normalize, 0.0, alpha) == (ValueError, message)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.int64])
+    def test_numpy_scalars_read_like_floats(self, dtype):
+        for norm in NormalizationId:
+            for alpha in (0.0, 0.5, 0.78, 0.93, 1.0, 1.12, 1.5):
+                got = outcome(normalize, norm, dtype(alpha), DISTINGUISHABLE)
+                want = outcome(normalize, norm, float(dtype(alpha)), DISTINGUISHABLE)
+                # an error names the angle, and a numpy scalar's repr differs from a float's
+                assert got == want if isinstance(want, int) else got[0] is want[0]
+
+
+class TestMemoryAgainstBranches:
+    @staticmethod
+    def boundaries(cfg):
+        tol = u4_tolerance(cfg)
+        rests = [equilibrium_angle(ps, cfg) for ps in PROBE_STATES]
+        edges = [ZERO_TOL, 1.0] + [r + sign * tol for r in rests for sign in (-1, 1)]
+        return [a for edge in edges if edge >= 0
+                for a in (math.nextafter(edge, -1), edge, math.nextafter(edge, 3))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(distinguishable_configs(), st.lists(st.floats(0.0, 2.0), max_size=20))
+    def test_bit_identical_to_branches(self, cfg, angles):
+        for config in (cfg, DeviceConfig(cfg.alpha_hat1, cfg.alpha_tilde1, cfg.alpha2)):
+            for alpha in angles + self.boundaries(cfg):
+                for norm in NormalizationId:
+                    assert (outcome(normalize, norm, alpha, config)
+                            == outcome(branch_normalize, norm, alpha, config)), (norm, alpha)
+
+    @settings(max_examples=30, deadline=None)
+    @given(distinguishable_configs())
+    def test_every_conclusion_holds_on_any_distinguishable_config(self, cfg):
+        for norm in NormalizationId:
+            assert verify_conclusion(machine_table(norm, cfg)).passed, norm
 
 
 class TestDeltaNormalize:
@@ -244,3 +358,44 @@ class TestNoiseRobustness:
             bits = np.where(values > 3 * cfg.sigma, 1, 0)
             wrong += int((bits != expected).sum())
         assert wrong / (4 * trials) < 1e-3
+
+
+class TestControlledGateLaw:
+    """Any class vector f over the rest angles is a restriction x3 = f(DD) of the
+    self-inverse controlled gate x3' = x3 xor (f xor f(DD))(x1, x2)."""
+
+    @pytest.mark.parametrize("f", CLASS_VECTORS)
+    def test_law_gate_reads_back_its_class_vector(self, f):
+        gate = law_gate(f)
+        assert gate.flags().self_reversible
+        bf = output_function(gate, Fixing.of(3, {3: f[0]}), 3)
+        assert bf.truth == f
+        assert classify(bf).value == direct_name((1, 2), f)
+
+    def test_sixteen_vectors_give_sixteen_functions(self):
+        pairs = set()
+        for f in CLASS_VECTORS:
+            bf = output_function(law_gate(f), Fixing.of(3, {3: f[0]}), 3)
+            pairs.add((classify(bf), bf.essential))
+        assert len(pairs) == 16
+
+    def test_every_conclusion_but_delta_is_an_instance(self):
+        for norm, (gate_id, assignments, _) in CONCLUSIONS.items():
+            if norm is NormalizationId.DELTA_U1:
+                continue
+            f = class_vector(machine_table(norm))
+            assert assignments == {3: f[0]}, norm
+            assert law_gate(f) == build(gate_id), norm
+
+    def test_unresolved_one_probe_angles_read_the_symmetric_eight(self):
+        default = DeviceConfig()
+        assert {f for f in CLASS_VECTORS if readable(f, default)} == {
+            f for f in CLASS_VECTORS if f[1] == f[2]}
+        assert all(readable(f, DISTINGUISHABLE) for f in CLASS_VECTORS)
+        for norm in set(NormalizationId) - {NormalizationId.DELTA_U1}:
+            f = class_vector(machine_table(norm, DISTINGUISHABLE))
+            if readable(f, default):
+                assert class_vector(machine_table(norm, default)) == f, norm
+            else:
+                with pytest.raises(U4Unclassifiable):
+                    machine_table(norm, default)
