@@ -86,6 +86,12 @@ class Word:
         return "".join(str(b) for b in self.bits)
 
 
+def _check_width(width: object, kind: str) -> None:
+    """Refuse a width that is not a plain int (a bool is not one) in 1..MAX_WIDTH."""
+    if type(width) is not int or not 1 <= width <= MAX_WIDTH:
+        raise WrongLength(f"{kind} width must be 1..{MAX_WIDTH}, got {width!r}")
+
+
 _WORDS: dict[int, tuple[Word, ...]] = {}  # the intern table: never evicted, as ``==`` is identity
 
 
@@ -95,10 +101,9 @@ def all_words(width: int) -> tuple[Word, ...]:
     ``product`` yields the bit tuples in encoding order, so each word is
     valid by construction and skips ``Word``'s bit-by-bit validation.
     """
-    if width in _WORDS:
+    if type(width) is int and width in _WORDS:  # True hashes like 1, yet is no width
         return _WORDS[width]
-    if not 1 <= width <= MAX_WIDTH:
-        raise WrongLength(f"word width must be 1..{MAX_WIDTH}, got {width}")
+    _check_width(width, "word")
     words = tuple(map(object.__new__, repeat(Word, 1 << width)))
     for index, (word, bits) in enumerate(zip(words, product((0, 1), repeat=width))):
         object.__setattr__(word, "bits", bits)
@@ -138,8 +143,7 @@ class Gate:
         """Store ``perm`` as a tuple, then check width, length, range and bijectivity."""
         object.__setattr__(self, "perm", tuple(self.perm))
         width, size = self.width, len(self.perm)
-        if not 1 <= width <= MAX_WIDTH:
-            raise WrongLength(f"gate width must be 1..{MAX_WIDTH}, got {width}")
+        _check_width(width, "gate")
         if size != 1 << width:
             raise WrongLength(f"width-{width} gate needs {1 << width} rows, got {size}")
         if set(map(type, self.perm)) != {int} or min(self.perm) < 0 or max(self.perm) >= size:
@@ -221,6 +225,8 @@ def _bitstrings(width: int) -> tuple[str, ...]:
 
 def make_gate(width: int, outputs: Iterable["Word | str | Sequence[int]"], name: str = "") -> Gate:
     """Build a gate from its output rows (words, bitstrings or bit sequences) in encoding order."""
+    if type(width) is not int:  # an int width out of range lets a bad row speak first
+        _check_width(width, "gate")
     rows = list(outputs)
     # Well-formed bitstrings skip the Word path, which reads every row before checking the gate.
     if (1 <= width <= MAX_WIDTH and len(rows) == 1 << width and set(map(type, rows)) == {str}

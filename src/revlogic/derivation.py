@@ -33,14 +33,14 @@ class Fixing:
     fixed: tuple[tuple[int, int], ...]  # (line, bit) pairs, sorted by line
 
     def __post_init__(self) -> None:
-        lines = [line for line, _ in self.fixed]
-        if len(set(lines)) != len(lines):
-            raise InvalidFixing(f"line assigned twice in {self.fixed}")
         for line, bit in self.fixed:
             if type(line) is not int or not 1 <= line <= self.width:
                 raise InvalidFixing(f"line {line!r} outside 1..{self.width}")
             if type(bit) is not int or bit not in (0, 1):
                 raise InvalidFixing(f"fixed value must be a bit, got {bit!r}")
+        lines = [line for line, _ in self.fixed]
+        if len(set(lines)) != len(lines):
+            raise InvalidFixing(f"line assigned twice in {self.fixed}")
         if len(self.fixed) >= self.width:
             raise InvalidFixing("at least one line must remain free")
         object.__setattr__(self, "fixed", tuple(sorted(self.fixed)))
@@ -124,8 +124,8 @@ class BooleanFunction:
 
 def output_function(gate: Gate, fixing: Fixing, line: int) -> BooleanFunction:
     """Output line ``line`` (1-based) as a Boolean function of the free inputs."""
-    if not 1 <= line <= gate.width:
-        raise InvalidFixing(f"output line {line} outside 1..{gate.width}")
+    if type(line) is not int or not 1 <= line <= gate.width:
+        raise InvalidFixing(f"output line {line!r} outside 1..{gate.width}")
     shift = gate.width - line
     truth = tuple(gate.perm[code] >> shift & 1 for code in input_codes(gate, fixing))
     return BooleanFunction.from_truth(fixing.free, truth)

@@ -8,14 +8,18 @@ on the initial angle; thermal noise spreads the measured tip position into a
 Gaussian around that equilibrium.
 
 All randomness flows through an explicit numpy Generator, so identical seeds
-and configs reproduce sample streams bit-exactly.
+and configs reproduce sample streams bit-exactly. numpy loads on the first
+sample, not on import: the rest of the package is exact integer work.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BIN_WIDTH = 0.02
 
@@ -45,7 +49,7 @@ class ProbeState:
     @classmethod
     def from_bits(cls, text: str) -> "ProbeState":
         """Parse "01"-style input."""
-        if len(text) != 2 or any(c not in "01" for c in text):
+        if not isinstance(text, str) or len(text) != 2 or any(c not in "01" for c in text):
             raise ValueError(f"probe state must be two bits, got {text!r}")
         return cls((int(text[0]), int(text[1])))
 
@@ -118,6 +122,8 @@ def equilibrium_angle(ps: ProbeState, cfg: DeviceConfig | None = None) -> float:
     Independent of the initial angle: an unpowered device relaxes back to the
     vertical, a powered one settles at the angle its voltages dictate.
     """
+    if not isinstance(ps, ProbeState):
+        raise ValueError(f"probe state must be a ProbeState, got {ps!r}")
     cfg = cfg or DeviceConfig()
     if ps == DD:
         return 0.0
@@ -143,6 +149,8 @@ def sample_many(
     mean = equilibrium_angle(ps, cfg)
     lo = max(0.0, mean - SUPPORT_SIGMAS * cfg.sigma)
     hi = mean + SUPPORT_SIGMAS * cfg.sigma
+    import numpy as np
+
     out = np.empty(n)
     filled = 0
     while filled < n:
@@ -173,6 +181,13 @@ class Histogram:
         return (self.bin_edges[best], self.bin_edges[best + 1])
 
 
+def _integer(name: str, value: object) -> int:
+    """``value`` as an int: ints and numpy integer scalars pass; bools and floats do not."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def run_histogram(
     ps: ProbeState,
     n: int,
@@ -180,12 +195,16 @@ def run_histogram(
     seed: int = 0,
     bin_width: float = DEFAULT_BIN_WIDTH,
 ) -> Histogram:
-    """Histogram of ``n`` seeded device shots."""
+    """Histogram of ``n`` seeded device shots; ``n`` and ``seed`` are ints, never bools."""
+    n, seed = _integer("trials", n), _integer("seed", seed)
     if not 1 <= n <= MAX_TRIALS:
         raise ValueError(f"trials must be 1..{MAX_TRIALS}, got {n}")
     if not 0 < bin_width < math.inf:
         raise ValueError(f"bin width must be finite and positive, got {bin_width}")
     cfg = cfg or DeviceConfig()
+    equilibrium_angle(ps, cfg)  # refuse a bad probe state before numpy loads
+    import numpy as np
+
     samples = sample_many(ps, n, cfg, np.random.default_rng(seed))
     lo, hi = float(samples.min()) / bin_width, float(samples.max()) / bin_width
     # Past 2**52, adjacent edges k * bin_width stop being distinct floats.

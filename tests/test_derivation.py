@@ -88,6 +88,11 @@ class TestFixing:
         with pytest.raises(InvalidFixing):
             Fixing.of(3, assignments)
 
+    def test_unhashable_line_is_an_invalid_fixing(self):
+        # the duplicate check hashes every line, so the type check must come first
+        with pytest.raises(InvalidFixing, match=r"line \[1\] outside"):
+            Fixing(3, (([1], 0),))
+
 
 class TestRestrict:
     @pytest.mark.parametrize("gate_id,line,bit", [
@@ -143,6 +148,12 @@ class TestOutputFunction:
     def test_bad_line(self):
         with pytest.raises(InvalidFixing):
             output_function(build("cl"), Fixing.of(3, {3: 0}), 4)
+
+    @pytest.mark.parametrize("line", [True, 3.0, "1", None])
+    def test_output_line_must_be_an_int(self, line):
+        # True would pass 1 <= line and read line 1; 3.0 would break on >>
+        with pytest.raises(InvalidFixing, match="output line"):
+            output_function(build("cl"), Fixing.of(3, {3: 0}), line)
 
 
 class TestClassify:

@@ -35,6 +35,11 @@ class TestProbeState:
         with pytest.raises(ValueError):
             ProbeState.from_bits("2")
 
+    @pytest.mark.parametrize("text", [5, None, ("0", "1")])
+    def test_from_bits_refuses_a_non_string(self, text):
+        with pytest.raises(ValueError, match="two bits"):
+            ProbeState.from_bits(text)
+
     @pytest.mark.parametrize("bits", [(2, 0), (0,), (0, 1, 1), (0, -1), [0, 1], (0.5, 0)])
     def test_rejects_bits_that_are_not_a_pair_of_0_1(self, bits):
         with pytest.raises(ValueError, match="pair of bits"):
@@ -93,6 +98,14 @@ class TestEquilibriumAngle:
     def test_one_probe_angles_collapse_by_default(self):
         cfg = DeviceConfig()
         assert equilibrium_angle(DA, cfg) == equilibrium_angle(AD, cfg) == cfg.alpha1
+
+    @pytest.mark.parametrize("ps", ["DD", None, (0, 0), 0])
+    def test_refuses_what_is_not_a_probe_state(self, ps):
+        # anything not DD or AA once read as a one-probe state, at angle alpha1
+        with pytest.raises(ValueError, match="must be a ProbeState"):
+            equilibrium_angle(ps)
+        with pytest.raises(ValueError, match="must be a ProbeState"):
+            sample_many(ps, 10, DeviceConfig(), np.random.default_rng(0))
 
 
 class TestSampling:
@@ -176,6 +189,24 @@ class TestRunHistogram:
         monkeypatch.setattr(device, "sample_many", no_sampling)
         with pytest.raises(ValueError, match="trials must be"):
             run_histogram(DD, n)
+
+    def test_refuses_a_probe_state_given_as_text(self):
+        # "DD" once sampled silently around the one-probe angle 0.855
+        with pytest.raises(ValueError, match="must be a ProbeState"):
+            run_histogram("DD", 10)
+
+    @pytest.mark.parametrize("n", [1.5, 10.0, True, "10", None, np.float64(10)])
+    def test_refuses_trials_that_are_not_an_integer(self, n):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            run_histogram(DD, n)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, False, "1", None])
+    def test_refuses_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            run_histogram(DD, 10, seed=seed)
+
+    def test_numpy_integer_trials_and_seed_keep_working(self):
+        assert run_histogram(DA, np.int64(300), seed=np.uint32(7)) == run_histogram(DA, 300, seed=7)
 
     def test_cap_itself_is_accepted(self, monkeypatch):
         class Sampled(Exception):

@@ -243,6 +243,17 @@ def test_all_words_rejects_widths_outside_range(width):
         all_words(width)
 
 
+@pytest.mark.parametrize("width", [True, False, 2.0, "2", None])
+def test_a_width_that_is_not_a_plain_int_builds_no_gate(width):
+    all_words(1)  # cached first: True hashes like 1
+    with pytest.raises(WrongLength, match="word width must be 1..16"):
+        all_words(width)
+    with pytest.raises(WrongLength, match="gate width must be 1..16"):
+        Gate(width, (0, 1))
+    with pytest.raises(WrongLength, match="gate width must be 1..16"):
+        make_gate(width, ["0", "1"])
+
+
 ROW_CASES = [
     # (id, width, rows, exception class the seed raised, or None for a valid gate)
     ("bad-char", 3, ["000", "001", "012", "011", "100", "101", "110", "111"], ValueError),
