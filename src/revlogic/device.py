@@ -14,6 +14,7 @@ sample, not on import: the rest of the package is exact integer work.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -144,21 +145,26 @@ def sample_many(
 
     Values come from Normal(equilibrium, sigma), resampled (never clamped)
     until they land in [max(0, mean - 6 sigma), mean + 6 sigma]; clamping
-    would pile a spurious point mass at 0 into the DD histograms.
+    would pile a spurious point mass at 0 into the DD histograms. Only
+    ``rng.normal(mean, sigma, size=...)`` is called, and exactly the draws up
+    to the n-th kept sample are consumed, so a Generator shared across calls
+    continues from the same point as under a sampler drawing one at a time.
     """
     mean = equilibrium_angle(ps, cfg)
     lo = max(0.0, mean - SUPPORT_SIGMAS * cfg.sigma)
     hi = mean + SUPPORT_SIGMAS * cfg.sigma
     import numpy as np
 
-    out = np.empty(n)
+    out = draw = rng.normal(mean, cfg.sigma, size=n)
+    if n == 0 or lo <= draw.min() and draw.max() <= hi:
+        return out  # the usual case: nothing rejected, nothing copied
     filled = 0
-    while filled < n:
+    while True:  # compact each batch's kept draws into out, in place
+        keep = np.flatnonzero((draw >= lo) & (draw <= hi))
+        filled += draw.take(keep, out=out[filled:filled + keep.size]).size
+        if filled == n:
+            return out
         draw = rng.normal(mean, cfg.sigma, size=n - filled)
-        keep = draw[(draw >= lo) & (draw <= hi)]
-        out[filled:filled + keep.size] = keep
-        filled += keep.size
-    return out
 
 
 @dataclass(frozen=True)
@@ -199,24 +205,32 @@ def run_histogram(
     n, seed = _integer("trials", n), _integer("seed", seed)
     if not 1 <= n <= MAX_TRIALS:
         raise ValueError(f"trials must be 1..{MAX_TRIALS}, got {n}")
-    if not 0 < bin_width < math.inf:
+    if not (isinstance(bin_width, numbers.Real) and 0 < bin_width < math.inf):
         raise ValueError(f"bin width must be finite and positive, got {bin_width}")
+    bin_width = float(bin_width)
     cfg = cfg or DeviceConfig()
     equilibrium_angle(ps, cfg)  # refuse a bad probe state before numpy loads
     import numpy as np
 
     samples = sample_many(ps, n, cfg, np.random.default_rng(seed))
-    lo, hi = float(samples.min()) / bin_width, float(samples.max()) / bin_width
+    low, high = float(samples.min()), float(samples.max())
+    lo, hi = low / bin_width, high / bin_width
     # Past 2**52, adjacent edges k * bin_width stop being distinct floats.
     if not (hi - lo < MAX_BINS and hi < 2**52):
         raise ValueError(f"bin width {bin_width} is too fine for these samples")
-    k_lo = int(np.floor(lo))
-    k_hi = int(np.floor(hi)) + 1
+    k_lo, k_hi = math.floor(lo), math.floor(hi) + 1
+    # np.histogram drops samples past the edges, and k * w can round past one (82 * 0.02)
+    while k_lo * bin_width > low:
+        k_lo -= 1
+    while k_hi * bin_width < high:  # the last bin is closed: high may sit on its edge
+        k_hi += 1
     edges = np.arange(k_lo, k_hi + 1) * bin_width
     counts, _ = np.histogram(samples, bins=edges)
+    mean = samples.mean()  # then np.std's arithmetic, over samples rather than a copy
+    np.square(np.subtract(samples, mean, out=samples), out=samples)
     return Histogram(
         bin_edges=tuple(float(e) for e in edges),
         counts=tuple(int(c) for c in counts),
-        mean=float(samples.mean()),
-        stddev=float(samples.std()),
+        mean=float(mean),
+        stddev=math.sqrt(samples.sum() / n),
     )

@@ -146,6 +146,19 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "bin width" in result.output
 
+    # every sample is the float 1.64, and 82 * 0.02 = 1.6400000000000001 lies above
+    # it: edges starting there once dropped all 1000 samples and still exited 0
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_samples_on_a_bin_edge_are_all_counted(self, runner, as_json):
+        args = ["simulate", "--input", "11", "--n", "1000", "--alpha2", "1.64",
+                "--sigma", "1e-17", "--seed", "0"]
+        result = runner.invoke(main, args + ["--json"] * as_json)
+        assert result.exit_code == 0
+        if as_json:
+            assert json.loads(result.stdout)["n"] == 1000
+        else:
+            assert sum(int(r["count"]) for r in csv.DictReader(io.StringIO(result.stdout))) == 1000
+
 
 class TestMachine:
     def test_single_norm_pass(self, runner):

@@ -1,7 +1,11 @@
 """Tests for the probe-cantilever device model and its statistics."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from revlogic import device
 from revlogic.device import (
@@ -11,6 +15,7 @@ from revlogic.device import (
     DD,
     MAX_TRIALS,
     PROBE_STATES,
+    SUPPORT_SIGMAS,
     DeviceConfig,
     ProbeState,
     encode_symbolic,
@@ -20,6 +25,45 @@ from revlogic.device import (
 )
 
 DISTINGUISHABLE = DeviceConfig(distinguishable=True)
+#: The default, a resolved one, one whose window is cut at 0 for every state,
+#: and a near-noiseless one.
+ORACLE_CONFIGS = (
+    DeviceConfig(),
+    DeviceConfig(distinguishable=True, sigma=0.05),
+    DeviceConfig(sigma=0.4, alpha_hat1=0.5, alpha_tilde1=0.9, alpha2=1.3),
+    DeviceConfig(sigma=1e-12),
+)
+
+
+def reference_sample_many(ps, n, cfg, rng):
+    """The plain resampling loop: keep each batch's draws inside the window by a
+    boolean index, append them, draw again for what is missing."""
+    mean = equilibrium_angle(ps, cfg)
+    lo, hi = max(0.0, mean - SUPPORT_SIGMAS * cfg.sigma), mean + SUPPORT_SIGMAS * cfg.sigma
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        draw = rng.normal(mean, cfg.sigma, size=n - filled)
+        keep = draw[(draw >= lo) & (draw <= hi)]
+        out[filled:filled + keep.size] = keep
+        filled += keep.size
+    return out
+
+
+def reference_histogram(ps, n, cfg, seed, bin_width):
+    """np.histogram over the multiples of the bin width that hold every sample,
+    with mean and stddev from numpy's own reductions."""
+    samples = reference_sample_many(ps, n, cfg, np.random.default_rng(seed))
+    low, high = samples.min(), samples.max()
+    k_lo, k_hi = math.floor(low / bin_width), math.floor(high / bin_width) + 1
+    while k_lo * bin_width > low:
+        k_lo -= 1
+    while k_hi * bin_width < high:
+        k_hi += 1
+    edges = np.arange(k_lo, k_hi + 1) * bin_width
+    counts, _ = np.histogram(samples, bins=edges)
+    return device.Histogram(tuple(float(e) for e in edges), tuple(int(c) for c in counts),
+                            float(samples.mean()), float(samples.std()))
 
 
 class TestProbeState:
@@ -217,6 +261,87 @@ class TestRunHistogram:
         monkeypatch.setattr(device, "sample_many", stop)
         with pytest.raises(Sampled):
             run_histogram(DD, MAX_TRIALS)
+
+
+class TestBitIdentityOracle:
+    """sample_many and run_histogram against the plain numpy routes: the same
+    numbers, the same dtype, the same Generator end state, the same histogram."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(PROBE_STATES), st.sampled_from(ORACLE_CONFIGS),
+           st.integers(0, 2 * 10**4), st.integers(0, 2**32 - 1),
+           st.sampled_from([device.DEFAULT_BIN_WIDTH, 0.001, 0.05]))
+    def test_samples_state_and_histogram_match_the_reference(self, ps, cfg, n, seed, bin_width):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        values, expected = sample_many(ps, n, cfg, rng), reference_sample_many(ps, n, cfg, ref)
+        assert values.dtype == expected.dtype == np.float64
+        assert values.shape == (n,)
+        assert values.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        if n:
+            hist = run_histogram(ps, n, cfg, seed=seed, bin_width=bin_width)
+            assert hist == reference_histogram(ps, n, cfg, seed, bin_width)
+            assert hist.n == n
+
+    def test_a_generator_shared_across_states_continues_at_the_same_point(self):
+        # criterion 7 draws all four states from one Generator; each call must
+        # leave it exactly where a one-draw-at-a-time sampler would
+        cfg = ORACLE_CONFIGS[2]  # every state rejects some draws
+        rng, one_at_a_time = np.random.default_rng(2024), np.random.default_rng(2024)
+        for ps in PROBE_STATES:
+            values = sample_many(ps, 2000, cfg, rng)
+            mean = equilibrium_angle(ps, cfg)
+            lo, hi = max(0.0, mean - SUPPORT_SIGMAS * cfg.sigma), mean + SUPPORT_SIGMAS * cfg.sigma
+            kept = []
+            while len(kept) < 2000:
+                value = one_at_a_time.normal(mean, cfg.sigma)
+                if lo <= value <= hi:
+                    kept.append(value)
+            assert values.tolist() == kept
+            assert rng.bit_generator.state == one_at_a_time.bit_generator.state
+
+    def test_zero_samples_draw_nothing(self):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        for ps in PROBE_STATES:
+            values = sample_many(ps, 0, DeviceConfig(), rng)
+            assert values.dtype == np.float64 and values.shape == (0,)
+        assert rng.bit_generator.state == state
+
+
+class TestHistogramEdges:
+    def test_samples_on_an_edge_above_them_are_counted(self):
+        # 82 * 0.02 = 1.6400000000000001 lies above every sample (all the float
+        # 1.64); edges starting there once dropped all of them
+        hist = run_histogram(AA, 1000, DeviceConfig(alpha2=1.64, sigma=1e-17), seed=0)
+        assert hist.n == 1000
+        assert hist.bin_edges[0] <= 1.64 <= hist.bin_edges[-1]
+
+    # a decimal bin width m / 10**d and a rest angle at the float nearest to the
+    # exact k-th multiple of it, which k * bin_width may miss by an ulp either way
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 50), st.integers(2, 3), st.integers(1, 2000),
+           st.sampled_from([1e-17, 1e-15, 1e-12]), st.integers(1, 200), st.integers(0, 2**16))
+    def test_every_sample_counted_when_the_rest_angle_is_a_bin_multiple(
+            self, m, d, k, sigma, n, seed):
+        bin_width, rest = m / 10**d, k * m / 10**d
+        assume(rest != 1.0)
+        if rest < 1:
+            ps, cfg = DA, DeviceConfig(alpha_hat1=rest, alpha_tilde1=rest, sigma=sigma)
+        else:
+            ps, cfg = AA, DeviceConfig(alpha2=rest, sigma=sigma)
+        hist = run_histogram(ps, n, cfg, seed=seed, bin_width=bin_width)
+        assert sum(hist.counts) == n
+
+    @pytest.mark.parametrize("bin_width", ["x", None, [0.02], 1j])
+    def test_refuses_a_bin_width_that_is_not_a_real_number(self, bin_width):
+        with pytest.raises(ValueError, match="bin width must be finite and positive"):
+            run_histogram(DD, 10, bin_width=bin_width)
+
+    def test_numpy_float_bin_widths_keep_working(self):
+        assert run_histogram(AA, 300, seed=7, bin_width=np.float64(0.02)) == run_histogram(
+            AA, 300, seed=7)
+        assert run_histogram(AA, 300, seed=7, bin_width=np.float32(0.02)).n == 300
 
 
 def test_probe_states_in_encoding_order():
