@@ -14,7 +14,7 @@ import re
 import click
 
 from . import device, library, machine
-from .derivation import Fixing, InvalidFixing, derived_connectives
+from .derivation import Fixing, derived_connectives
 from .device import DeviceConfig, ProbeState, run_histogram
 from .energy import Distribution, NonphysicalTemperature, info_loss, transfer_table
 from .library import build
@@ -79,10 +79,7 @@ def gates_show(gate_id: str, as_json: bool) -> None:
 def derive(gate_id: str, as_json: bool) -> None:
     """Connectives realizable from GATE_ID by fixing ancilla lines."""
     gate = _gate(gate_id)
-    try:
-        result = derived_connectives(gate)
-    except InvalidFixing as exc:
-        raise click.UsageError(str(exc)) from None
+    result = derived_connectives(gate)
     if as_json:
         click.echo(json.dumps({
             "gate": gate.name,
@@ -214,7 +211,7 @@ def energy_cmd(gate_id, project_line, fixes, temperature) -> None:
     try:
         fixing = Fixing.of(gate.width, assignments) if assignments else None
         table = transfer_table(gate, fixing, project_line)
-    except (InvalidFixing, ValueError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc)) from None
     dist = Distribution.uniform(table.keys())
     report = info_loss(table, dist)

@@ -201,6 +201,8 @@ class Gate:
 
     @classmethod
     def from_json(cls, data: dict) -> "Gate":
+        if not (isinstance(data, dict) and "width" in data and type(data.get("table")) is list):
+            raise GateError('gate JSON must be an object {"width": <int>, "table": [<row>, ...]}')
         return make_gate(data["width"], data["table"], name=data.get("name", ""))
 
     def dumps(self) -> str:

@@ -20,6 +20,8 @@ from typing import Iterator, Mapping
 
 from .core import Gate, Word, all_words
 
+MAX_DERIVE_WIDTH = 8  # widest gate derived_connectives sweeps: 3^8 - 2^8 = 6,305 fixings
+
 
 class InvalidFixing(ValueError):
     """A fixing names a line outside the gate, or assigns a line twice."""
@@ -111,8 +113,8 @@ class BooleanFunction:
 
     @classmethod
     def from_truth(cls, inputs: tuple[int, ...], truth: tuple[int, ...]) -> "BooleanFunction":
-        if len(truth) != 1 << len(inputs):
-            raise ValueError(f"{len(inputs)} inputs need {1 << len(inputs)} truth entries")
+        if len(truth) != 1 << len(inputs) or not {0, 1}.issuperset(truth):
+            raise ValueError(f"{len(inputs)} inputs need {1 << len(inputs)} truth bits")
         essential = set()
         k = len(inputs)
         for pos, line in enumerate(inputs):
@@ -214,9 +216,9 @@ class DerivedConnectives:
 
 
 def iter_fixings(width: int) -> Iterator[Fixing]:
-    """All fixings of up to two lines, in lexicographic order of
-    (fixed-line set, fixed values)."""
-    for count in range(3):
+    """Every fixing that leaves a line free, by number of fixed lines, then in
+    lexicographic order of (fixed-line set, fixed values)."""
+    for count in range(width):
         for lines in itertools.combinations(range(1, width + 1), count):
             for values in itertools.product((0, 1), repeat=count):
                 yield Fixing(width, tuple(zip(lines, values)))
@@ -232,16 +234,16 @@ def _passes_through(bf: BooleanFunction, name: Connective, fixing: Fixing, line:
 
 
 def derived_connectives(gate: Gate) -> DerivedConnectives:
-    """Every named connective obtainable by fixing 0, 1, or 2 input lines.
+    """Every named connective obtainable by any fixing that leaves a line free.
 
-    Output line 3 is always classified; lines 1 and 2 are reported only when
+    The last line is always classified; the others are reported only when
     they do more than pass their own input through. A line is reported as
     FANOUT when it computes the identity of a free input that another output
     line carries as well (signal duplication, e.g. (a,0,0) -> (a,0,a)).
     Unnameable (RAW) projections are omitted.
     """
-    if gate.width != 3:
-        raise InvalidFixing(f"connective derivation expects width 3, got {gate.width}")
+    if gate.width > MAX_DERIVE_WIDTH:
+        raise InvalidFixing(f"derivation takes widths 1..{MAX_DERIVE_WIDTH}, got {gate.width}")
     entries: list[Derivation] = []
     for fixing in iter_fixings(gate.width):
         per_line = {}

@@ -205,9 +205,13 @@ def run_histogram(
     n, seed = _integer("trials", n), _integer("seed", seed)
     if not 1 <= n <= MAX_TRIALS:
         raise ValueError(f"trials must be 1..{MAX_TRIALS}, got {n}")
-    if not (isinstance(bin_width, numbers.Real) and 0 < bin_width < math.inf):
+    try:
+        width = float(bin_width) if isinstance(bin_width, numbers.Real) else math.nan
+    except OverflowError:  # an int past the float range is infinitely wide
+        width = math.inf
+    if not 0 < width < math.inf:
         raise ValueError(f"bin width must be finite and positive, got {bin_width}")
-    bin_width = float(bin_width)
+    bin_width = width
     cfg = cfg or DeviceConfig()
     equilibrium_angle(ps, cfg)  # refuse a bad probe state before numpy loads
     import numpy as np

@@ -194,8 +194,8 @@ def transfer_table(
         inputs, outputs = map(words.__getitem__, codes), map(gate.perm.__getitem__, codes)
     if project_line is None:
         return dict(zip(inputs, map(words.__getitem__, outputs)))
-    # a float or str line gets this ValueError too, not a TypeError from `>>` or `<=`
-    if not (isinstance(project_line, int) and 1 <= project_line <= gate.width):
+    # a bool, float or str line gets this ValueError too: True would read line 1
+    if type(project_line) is not int or not 1 <= project_line <= gate.width:
         raise ValueError(f"output line {project_line!r} outside 1..{gate.width}")
     shift = gate.width - project_line
     return {word: (out >> shift) & 1 for word, out in zip(inputs, outputs)}

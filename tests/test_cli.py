@@ -75,10 +75,26 @@ class TestDerive:
         assert "x3=0" in result.output and "AND" in result.output
 
     @pytest.mark.parametrize("gate_id", ["cnot", "not"])
-    def test_gate_not_three_lines_wide_is_usage_error(self, runner, gate_id):
-        result = runner.invoke(main, ["derive", gate_id])
-        assert result.exit_code == 2
-        assert "width 3" in result.output
+    def test_gate_not_three_lines_wide_is_derived(self, runner, gate_id):
+        args, expected = {
+            "cnot": (["derive", "cnot"], (
+                "derived connectives of cnot:\n"
+                "  fix (none)       line 2  ->  XOR\n"
+                "  fix x1=0         line 2  ->  ID\n"
+                "  fix x1=1         line 2  ->  NOT\n"
+                "  fix x2=0         line 2  ->  FANOUT\n"
+                "  fix x2=1         line 2  ->  NOT\n"
+                "summary: FANOUT, ID, NOT, XOR\n")),
+            "not": (["derive", "not", "--json"], json.dumps({
+                "gate": "not",
+                "entries": [{"fixing": "(none)", "line": 1, "connective": "NOT",
+                             "essential": [1]}],
+                "names": ["NOT"],
+            }) + "\n"),
+        }[gate_id]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.stdout == expected
 
 
 class TestSimulate:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from revlogic.core import (
     Gate,
+    GateError,
     NotBijective,
     WidthMismatch,
     Word,
@@ -290,6 +291,15 @@ class TestJson:
     def test_bijectivity_enforced_on_load(self):
         with pytest.raises(NotBijective):
             Gate.from_json({"name": "bad", "width": 1, "table": ["0", "0"]})
+
+    @pytest.mark.parametrize("text", [
+        "{}", '{"width": 3}', '{"table": ["0", "1"]}', "[]", "3", "null",
+        '{"width": 3, "table": 5}', '{"width": 1, "table": "01"}',
+    ])
+    def test_malformed_json_names_the_expected_shape(self, text):
+        # a KeyError or TypeError before; the shape is checked once, not per row
+        with pytest.raises(GateError, match=r'an object \{"width": <int>, "table": \[<row>'):
+            Gate.loads(text)
 
 
 @settings(max_examples=40)

@@ -1,15 +1,21 @@
 """Tests for ancilla fixing, output projection, and connective naming."""
 
+import functools
 import itertools
+import random
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from golden import RESTRICTION_ROWS
-from revlogic.core import Word
+from revlogic.core import Gate, Word
 from revlogic.derivation import (
     BINARY_NAMES,
+    MAX_DERIVE_WIDTH,
     BooleanFunction,
     Connective,
+    Derivation,
     Fixing,
     InvalidFixing,
     classify,
@@ -20,6 +26,9 @@ from revlogic.derivation import (
 )
 from seed_core import full_word, identity_gate
 from revlogic.library import build
+
+#: One sweep per gate: the width-8 cases share theirs, at about 1 s each.
+derive = functools.cache(derived_connectives)
 
 
 #: Two essential inputs a < b (line numbers), truth listed at (a, b) = 00, 01, 10, 11.
@@ -51,6 +60,31 @@ def direct_name(inputs, truth):
         return BOTH_INPUT_NAMES[tuple(value({**zeros, a: x, b: y})
                                       for x, y in itertools.product((0, 1), repeat=2))]
     return "RAW"
+
+
+def toffoli(width):
+    """The multi-controlled Toffoli gate: the last line flips when all others are 1."""
+    top = (1 << width) - 2
+    return Gate(width, tuple(code ^ 1 if code >= top else code for code in range(1 << width)))
+
+
+def front_wire(gate):
+    """``gate`` on lines 2..w+1 beside an identity wire on line 1."""
+    n = 1 << gate.width
+    return Gate(gate.width + 1,
+                tuple((code & n) | gate.perm[code & (n - 1)] for code in range(2 * n)))
+
+
+def back_wire(gate):
+    """``gate`` on lines 1..w beside an identity wire on the new last line."""
+    return Gate(gate.width + 1,
+                tuple((gate.perm[code >> 1] << 1) | (code & 1) for code in range(2 << gate.width)))
+
+
+def random_gate(width, seed):
+    perm = list(range(1 << width))
+    random.Random(seed).shuffle(perm)
+    return Gate(width, tuple(perm))
 
 
 class TestFixing:
@@ -186,6 +220,14 @@ class TestClassify:
         # 1 only at x2 = 1, x1 = 0: a = line 1 is 0 and b = line 2 is 1
         assert classify(BooleanFunction.from_truth((2, 1), (0, 0, 1, 0))) is Connective.NIMPLIES_BA
 
+    @pytest.mark.parametrize("truth", [
+        (0, 0, 0, 2), (0, 1, -1, 1), (0, 1, 1, None), ("0", 1, 1, 1),
+    ])
+    def test_truth_entries_must_be_bits(self, truth):
+        # classify used to fail later with a KeyError on the unknown vector
+        with pytest.raises(ValueError, match="2 inputs need 4 truth bits"):
+            BooleanFunction.from_truth((1, 2), truth)
+
     def test_three_essential_inputs_stay_raw(self):
         bf = output_function(build("cl"), Fixing(3, ()), 3)
         assert classify(bf) is Connective.RAW
@@ -264,13 +306,29 @@ class TestDerivedConnectives:
         ]
         assert labels == sorted(labels)
 
-    def test_rejects_other_widths(self):
-        with pytest.raises(InvalidFixing):
-            derived_connectives(build("cnot"))
+    def test_rejects_other_widths(self, monkeypatch):
+        # width 9 is refused before a single fixing is enumerated
+        def no_sweep(width):
+            raise AssertionError("enumerated fixings")
+
+        monkeypatch.setattr("revlogic.derivation.iter_fixings", no_sweep)
+        with pytest.raises(InvalidFixing, match=r"widths 1\.\.8, got 9"):
+            derived_connectives(Gate(MAX_DERIVE_WIDTH + 1, tuple(range(1 << MAX_DERIVE_WIDTH + 1))))
+        monkeypatch.undo()
+        # width 8 is swept in full, past the old cap of two fixed lines: AND of
+        # x6 and x7 needs four controls at 1 and the target at 0, five fixed lines
+        result = derive(front_wire(toffoli(7)))
+        assert {Connective.AND, Connective.NAND, Connective.XOR, Connective.FANOUT} <= result.names
+        fixing = Fixing.of(8, {2: 1, 3: 1, 4: 1, 5: 1, 8: 0})
+        assert Derivation(fixing, 8, Connective.AND, (6, 7)) in result.entries
+
+
+ORACLE_GATES = [build(gate_id) for gate_id in ("cl", "toffoli", "x", "i")] + [
+    random_gate(width, seed) for width in range(1, 6) for seed in range(3)]
 
 
 def test_brute_force_enumeration_agrees():
-    """Re-derive the 1- and 2-line fixing results by direct enumeration."""
+    """Re-derive the results of every fixing by direct enumeration."""
     truth_names = {
         (0, 1, 1, 1): "OR", (1, 0, 0, 0): "NOR", (0, 0, 0, 1): "AND",
         (1, 1, 1, 0): "NAND", (0, 1, 1, 0): "XOR", (1, 0, 0, 1): "NXOR",
@@ -298,18 +356,17 @@ def test_brute_force_enumeration_agrees():
         truth = tuple(projected[v] for v in sorted(projected))
         return truth_names.get(truth, "RAW"), tuple(essential)
 
-    for gate_id in ("cl", "toffoli", "x", "i"):
-        gate = build(gate_id)
+    for gate in ORACLE_GATES:
         expected = set()
-        lines = (1, 2, 3)
-        for count in (1, 2):
+        lines = tuple(range(1, gate.width + 1))
+        for count in range(gate.width):
             for fixed_lines in itertools.combinations(lines, count):
                 for fixed_vals in itertools.product((0, 1), repeat=count):
                     assignment = dict(zip(fixed_lines, fixed_vals))
                     free = tuple(l for l in lines if l not in assignment)
                     table = {}
                     for vals in itertools.product((0, 1), repeat=len(free)):
-                        bits = [0, 0, 0]
+                        bits = [0] * gate.width
                         for line, bit in assignment.items():
                             bits[line - 1] = bit
                         for line, bit in zip(free, vals):
@@ -320,14 +377,13 @@ def test_brute_force_enumeration_agrees():
                         name, essential = name_of(free, per_out)
                         if name == "RAW":
                             continue
-                        # trivial pass-through of the line's own value
-                        if out_line != 3:
+                        # trivial pass-through of the line's own value; the last line always counts
+                        if out_line != lines[-1]:
                             if out_line in free and name == "ID" and essential == (out_line,):
                                 continue
                             if out_line in assignment and name == f"CONST{assignment[out_line]}":
                                 continue
                         if name == "ID" and essential != (out_line,):
-                            src = essential[0]
                             for other in lines:
                                 if other == out_line:
                                     continue
@@ -341,6 +397,89 @@ def test_brute_force_enumeration_agrees():
         got = {
             (entry.fixing.fixed, entry.line, entry.connective.value)
             for entry in derived_connectives(gate).entries
-            if len(entry.fixing.fixed) in (1, 2)
         }
-        assert got == expected, gate_id
+        assert got == expected, gate
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bennett_embedding_realizes_every_restriction(k):
+    """For every f of arity k, (x, y) -> (x, y xor f(x)) is self-inverse, and with
+    y = 0 its last line is f: its names include every restriction of f a fixing reaches."""
+    for truth in itertools.product((0, 1), repeat=1 << k):
+        gate = Gate(k + 1, tuple(code ^ truth[code >> 1] for code in range(2 << k)))
+        assert gate.inverse() == gate
+        names = {name.value for name in derived_connectives(gate).names}
+        # fix y = 0 and up to k - 1 of the x lines, so one x line stays free
+        for count in range(k):
+            for fixed_lines in itertools.combinations(range(1, k + 1), count):
+                for fixed_vals in itertools.product((0, 1), repeat=count):
+                    assignment = dict(zip(fixed_lines, fixed_vals))
+                    free = tuple(l for l in range(1, k + 1) if l not in assignment)
+                    restricted = []
+                    for vals in itertools.product((0, 1), repeat=len(free)):
+                        point = {**assignment, **dict(zip(free, vals))}
+                        restricted.append(truth[sum(point[l] << (k - l) for l in point)])
+                    name = direct_name(free, restricted)
+                    if name == "RAW":
+                        continue
+                    # the one essential x line also passes through: ID shows as FANOUT
+                    assert name in names or (name == "ID" and "FANOUT" in names), (truth, name)
+
+
+def relabel(gate, sigma):
+    """Conjugate ``gate`` by the wire permutation moving line i to line sigma[i]."""
+    width = gate.width
+
+    def move(code, mapping):
+        return sum((code >> (width - line) & 1) << (width - mapping[line])
+                   for line in range(1, width + 1))
+
+    back = {new: old for old, new in sigma.items()}
+    return Gate(width, tuple(move(gate.perm[move(code, back)], sigma)
+                             for code in range(1 << width)))
+
+
+SWAPPED = {
+    Connective.IMPLIES_AB: Connective.IMPLIES_BA, Connective.IMPLIES_BA: Connective.IMPLIES_AB,
+    Connective.NIMPLIES_AB: Connective.NIMPLIES_BA, Connective.NIMPLIES_BA: Connective.NIMPLIES_AB,
+}
+
+
+def relabelled(entry, sigma):
+    """The entry a relabelled gate must carry in place of ``entry``."""
+    name = entry.connective
+    if len(entry.essential) == 2 and sigma[entry.essential[0]] > sigma[entry.essential[1]]:
+        name = SWAPPED.get(name, name)
+    return Derivation(
+        Fixing(entry.fixing.width, tuple((sigma[line], bit) for line, bit in entry.fixing.fixed)),
+        sigma[entry.line], name, tuple(sorted(sigma[line] for line in entry.essential)))
+
+
+# a width-6 sweep takes about 80 ms: few examples, no deadline, no shrinking
+DERIVE_SETTINGS = dict(deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+
+
+@settings(max_examples=20, **DERIVE_SETTINGS)
+@given(st.integers(1, 6).flatmap(lambda width: st.tuples(
+    st.permutations(range(1 << width)), st.permutations(range(1, width)))))
+def test_relabelling_wires_relabels_entries(case):
+    perm, order = case
+    width = len(order) + 1
+    gate = Gate(width, tuple(perm))
+    # the last line stays in place, so the same entries count as pass-through
+    sigma = dict(zip(range(1, width), order)) | {width: width}
+    got = set(derived_connectives(relabel(gate, sigma)).entries)
+    assert got == {relabelled(entry, sigma) for entry in derived_connectives(gate).entries}
+
+
+@settings(max_examples=15, **DERIVE_SETTINGS)
+@given(st.integers(1, 5).flatmap(lambda width: st.permutations(range(1 << width))),
+       st.sampled_from([front_wire, back_wire]))
+def test_a_pass_through_line_keeps_every_name(perm, embed):
+    gate = Gate(len(perm).bit_length() - 1, tuple(perm))
+    assert derived_connectives(gate).names <= derived_connectives(embed(gate)).names
+
+
+def test_a_pass_through_line_keeps_every_name_at_width_8():
+    gate = toffoli(7)
+    assert derive(gate).names <= derive(front_wire(gate)).names

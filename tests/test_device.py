@@ -338,6 +338,12 @@ class TestHistogramEdges:
         with pytest.raises(ValueError, match="bin width must be finite and positive"):
             run_histogram(DD, 10, bin_width=bin_width)
 
+    @pytest.mark.parametrize("bin_width", [10**400, 2**1024])
+    def test_refuses_an_int_bin_width_past_the_float_range(self, bin_width):
+        # float() overflows on it: an infinite width, not an OverflowError
+        with pytest.raises(ValueError, match="bin width must be finite and positive"):
+            run_histogram(DD, 10, bin_width=bin_width)
+
     def test_numpy_float_bin_widths_keep_working(self):
         assert run_histogram(AA, 300, seed=7, bin_width=np.float64(0.02)) == run_histogram(
             AA, 300, seed=7)

@@ -123,6 +123,12 @@ class TestInfoLoss:
         with pytest.raises(ValueError, match=r"output line .* outside 1\.\.3"):
             transfer_table(build("cl"), Fixing.of(3, {3: 0}), project_line=line)
 
+    @pytest.mark.parametrize("line", [True, False, np.int64(1)])
+    def test_project_line_must_be_a_plain_int(self, line):
+        # True passed `isinstance(line, int)` and projected line 1
+        with pytest.raises(ValueError, match=r"output line .* outside 1\.\.3"):
+            transfer_table(build("cl"), project_line=line)
+
     def test_point_mass_output_has_positive_zero_entropy(self):
         table = transfer_table(build("cl"), Fixing.of(3, {1: 0}), project_line=1)
         report = info_loss(table, Distribution.uniform(table.keys()))
