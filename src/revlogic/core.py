@@ -203,7 +203,9 @@ class Gate:
     def from_json(cls, data: dict) -> "Gate":
         if not (isinstance(data, dict) and "width" in data and type(data.get("table")) is list):
             raise GateError('gate JSON must be an object {"width": <int>, "table": [<row>, ...]}')
-        return make_gate(data["width"], data["table"], name=data.get("name", ""))
+        if type(name := data.get("name", "")) is not str:
+            raise GateError(f'gate JSON "name" must be a string, got {name!r}')
+        return make_gate(data["width"], data["table"], name=name)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json())

@@ -30,8 +30,8 @@ MAX_BINS = 100_000
 # Refuse more trials than this per histogram: each costs 8 bytes or more of samples.
 MAX_TRIALS = 10**7
 
-# Samples are kept within this many standard deviations of the equilibrium
-# angle (and above 0) by resampling, so every histogram has bounded support.
+# Samples are kept within this many standard deviations of the equilibrium angle
+# by resampling, and above 0 by reflection, so every histogram has bounded support.
 SUPPORT_SIGMAS = 6.0
 
 
@@ -145,17 +145,23 @@ def sample_many(
 
     Values come from Normal(equilibrium, sigma), resampled (never clamped)
     until they land in [max(0, mean - 6 sigma), mean + 6 sigma]; clamping
-    would pile a spurious point mass at 0 into the DD histograms. Only
-    ``rng.normal(mean, sigma, size=...)`` is called, and exactly the draws up
-    to the n-th kept sample are consumed, so a Generator shared across calls
-    continues from the same point as under a sampler drawing one at a time.
+    would pile a spurious point mass at 0 into the DD histograms. At rest
+    angle 0 every draw is reflected to |draw|: the same law in half the draws.
+    Only ``rng.normal(mean, sigma, size=...)`` is called, and exactly the
+    draws up to the n-th kept sample are consumed, so a Generator shared
+    across calls continues from the same point as under a sampler drawing
+    (and, at rest angle 0, reflecting) one value at a time.
     """
     mean = equilibrium_angle(ps, cfg)
     lo = max(0.0, mean - SUPPORT_SIGMAS * cfg.sigma)
     hi = mean + SUPPORT_SIGMAS * cfg.sigma
     import numpy as np
 
-    out = draw = rng.normal(mean, cfg.sigma, size=n)
+    def normal(size: int) -> np.ndarray:
+        draw = rng.normal(mean, cfg.sigma, size=size)
+        return np.abs(draw, out=draw) if mean == 0 else draw
+
+    out = draw = normal(n)
     if n == 0 or lo <= draw.min() and draw.max() <= hi:
         return out  # the usual case: nothing rejected, nothing copied
     filled = 0
@@ -164,7 +170,7 @@ def sample_many(
         filled += draw.take(keep, out=out[filled:filled + keep.size]).size
         if filled == n:
             return out
-        draw = rng.normal(mean, cfg.sigma, size=n - filled)
+        draw = normal(n - filled)
 
 
 @dataclass(frozen=True)
@@ -207,8 +213,8 @@ def run_histogram(
         raise ValueError(f"trials must be 1..{MAX_TRIALS}, got {n}")
     try:
         width = float(bin_width) if isinstance(bin_width, numbers.Real) else math.nan
-    except OverflowError:  # an int past the float range is infinitely wide
-        width = math.inf
+    except OverflowError:  # an int past the float range is infinitely wide; str() may refuse it
+        width, bin_width = math.inf, "an int past the float range"
     if not 0 < width < math.inf:
         raise ValueError(f"bin width must be finite and positive, got {bin_width}")
     bin_width = width

@@ -301,6 +301,16 @@ class TestJson:
         with pytest.raises(GateError, match=r'an object \{"width": <int>, "table": \[<row>'):
             Gate.loads(text)
 
+    @pytest.mark.parametrize("name", ["5", '["cl"]', "null", "true", '{"n": 1}', "1.5"])
+    def test_refuses_a_name_that_is_not_a_string(self, name):
+        # a name of 5 or ["cl"] once built a gate and was written back by dumps
+        with pytest.raises(GateError, match='"name" must be a string'):
+            Gate.loads(f'{{"width": 1, "table": ["1", "0"], "name": {name}}}')
+
+    def test_a_missing_or_string_name_still_loads(self):
+        assert Gate.loads('{"width": 1, "table": ["1", "0"]}').name == ""
+        assert Gate.loads('{"width": 1, "table": ["1", "0"], "name": "not"}').name == "not"
+
 
 @settings(max_examples=40)
 @given(permutation_gates())

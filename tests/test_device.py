@@ -37,13 +37,16 @@ ORACLE_CONFIGS = (
 
 def reference_sample_many(ps, n, cfg, rng):
     """The plain resampling loop: keep each batch's draws inside the window by a
-    boolean index, append them, draw again for what is missing."""
+    boolean index, append them, draw again for what is missing. At rest angle 0
+    the law is |Normal(0, sigma)| on [0, 6 sigma]: each draw is reflected."""
     mean = equilibrium_angle(ps, cfg)
     lo, hi = max(0.0, mean - SUPPORT_SIGMAS * cfg.sigma), mean + SUPPORT_SIGMAS * cfg.sigma
     out = np.empty(n)
     filled = 0
     while filled < n:
         draw = rng.normal(mean, cfg.sigma, size=n - filled)
+        if mean == 0:
+            draw = abs(draw)  # then only the 6 sigma cut rejects
         keep = draw[(draw >= lo) & (draw <= hi)]
         out[filled:filled + keep.size] = keep
         filled += keep.size
@@ -286,7 +289,7 @@ class TestBitIdentityOracle:
     def test_a_generator_shared_across_states_continues_at_the_same_point(self):
         # criterion 7 draws all four states from one Generator; each call must
         # leave it exactly where a one-draw-at-a-time sampler would
-        cfg = ORACLE_CONFIGS[2]  # every state rejects some draws
+        cfg = ORACLE_CONFIGS[2]  # every state but DD rejects some draws
         rng, one_at_a_time = np.random.default_rng(2024), np.random.default_rng(2024)
         for ps in PROBE_STATES:
             values = sample_many(ps, 2000, cfg, rng)
@@ -295,10 +298,31 @@ class TestBitIdentityOracle:
             kept = []
             while len(kept) < 2000:
                 value = one_at_a_time.normal(mean, cfg.sigma)
+                if mean == 0:  # DD: |Normal(0, sigma)|, kept up to 6 sigma
+                    value = abs(value)
                 if lo <= value <= hi:
                     kept.append(value)
             assert values.tolist() == kept
             assert rng.bit_generator.state == one_at_a_time.bit_generator.state
+
+    def test_dd_draws_one_normal_per_sample_and_copies_nothing(self, monkeypatch):
+        class CountingRng:
+            """A numpy Generator that counts the normal draws requested from it."""
+
+            def __init__(self, rng):
+                self._rng, self.draws = rng, 0
+
+            def normal(self, loc=0.0, scale=1.0, size=None):
+                self.draws += 1 if size is None else int(np.prod(size))
+                return self._rng.normal(loc, scale, size)
+
+        def no_compaction(*args, **kwargs):
+            raise AssertionError("DD rejected a draw and compacted its batch")
+        monkeypatch.setattr(np, "flatnonzero", no_compaction)
+        n, rng = 10**5, CountingRng(np.random.default_rng(17))
+        values = sample_many(DD, n, DeviceConfig(), rng)
+        assert rng.draws == n == values.size
+        assert values.min() >= 0.0
 
     def test_zero_samples_draw_nothing(self):
         rng = np.random.default_rng(5)
@@ -307,6 +331,32 @@ class TestBitIdentityOracle:
             values = sample_many(ps, 0, DeviceConfig(), rng)
             assert values.dtype == np.float64 and values.shape == (0,)
         assert rng.bit_generator.state == state
+
+
+class TestHistogramBinMass:
+    """Every bin's count against n times its erf mass under the normal truncated
+    to the sampling window: an analytic oracle for the sampler and the binning
+    (a clamped DD piles half its samples into the first bin)."""
+
+    @pytest.mark.parametrize("bin_width", [device.DEFAULT_BIN_WIDTH, 0.001])
+    @pytest.mark.parametrize("cfg", ORACLE_CONFIGS[:2], ids=["default", "resolved"])
+    @pytest.mark.parametrize("ps", PROBE_STATES, ids=str)
+    def test_every_bin_count_within_five_sd_of_its_mass(self, ps, cfg, bin_width):
+        n = 10**5
+        hist = run_histogram(ps, n, cfg, bin_width=bin_width)
+        mean = equilibrium_angle(ps, cfg)
+        lo, hi = max(0.0, mean - SUPPORT_SIGMAS * cfg.sigma), mean + SUPPORT_SIGMAS * cfg.sigma
+
+        def cdf(x):
+            return 0.5 * (1 + math.erf((x - mean) / (cfg.sigma * math.sqrt(2))))
+
+        window = cdf(hi) - cdf(lo)
+        for a, b, count in zip(hist.bin_edges, hist.bin_edges[1:], hist.counts):
+            p = max(0.0, cdf(min(b, hi)) - cdf(max(a, lo))) / window
+            # below one expected count the binomial sd understates a count's spread
+            # (one sample where 0.01 is expected is 10 sd out): the variance floor is 1
+            sd = math.sqrt(max(n * p * (1 - p), 1.0))
+            assert abs(count - n * p) <= 5 * sd, (a, b, count, n * p)
 
 
 class TestHistogramEdges:
@@ -341,8 +391,14 @@ class TestHistogramEdges:
     @pytest.mark.parametrize("bin_width", [10**400, 2**1024])
     def test_refuses_an_int_bin_width_past_the_float_range(self, bin_width):
         # float() overflows on it: an infinite width, not an OverflowError
-        with pytest.raises(ValueError, match="bin width must be finite and positive"):
+        with pytest.raises(ValueError, match="finite and positive, got an int past the float range$"):
             run_histogram(DD, 10, bin_width=bin_width)
+
+    def test_names_an_int_bin_width_too_long_for_str(self):
+        # str() refuses an int past 4300 digits: formatting 10**5000 into the
+        # message once raised that error in place of the refusal
+        with pytest.raises(ValueError, match="finite and positive, got an int past the float range$"):
+            run_histogram(DD, 10, bin_width=10**5000)
 
     def test_numpy_float_bin_widths_keep_working(self):
         assert run_histogram(AA, 300, seed=7, bin_width=np.float64(0.02)) == run_histogram(

@@ -346,18 +346,39 @@ class TestCoherence:
         assert (by_state[str(AA)]["u1_out"], by_state[str(AA)]["delta"]) == (1, 1)
 
 
+def phi(z):
+    """The standard normal distribution function."""
+    return 0.5 * (1 + math.erf(z / math.sqrt(2)))
+
+
+#: A DD sample lies in [0, 6 sigma] and u1 reads it as 1 above 3 sigma, so it is
+#: misread with this probability (about 0.0027); the other states' sampling
+#: windows lie wholly on their bit's side of 3 sigma and are never misread.
+P_DD_MISREAD = (phi(6) - phi(3)) / (phi(6) - phi(0))
+
+
+def u1_misreads(values, ps, cfg):
+    expected = normalize("u1", equilibrium_angle(ps, cfg), cfg)
+    return int((np.where(values > 3 * cfg.sigma, 1, 0) != expected).sum())
+
+
 class TestNoiseRobustness:
     def test_noisy_u1_classification_mostly_reproduces_the_table(self):
         cfg = DeviceConfig()
         rng = np.random.default_rng(2024)
         trials = 1000
-        wrong = 0
-        for ps in PROBE_STATES:
-            expected = normalize("u1", equilibrium_angle(ps, cfg), cfg)
-            values = sample_many(ps, trials, cfg, rng)
-            bits = np.where(values > 3 * cfg.sigma, 1, 0)
-            wrong += int((bits != expected).sum())
-        assert wrong / (4 * trials) < 1e-3
+        wrong = {ps: u1_misreads(sample_many(ps, trials, cfg, rng), ps, cfg) for ps in PROBE_STATES}
+        # DD alone expects trials * P_DD_MISREAD = 2.7 misreads: bound at mean + 5 sd
+        mean = trials * P_DD_MISREAD
+        assert wrong[DD] <= mean + 5 * math.sqrt(mean * (1 - P_DD_MISREAD))
+        assert [wrong[ps] for ps in PROBE_STATES if ps != DD] == [0, 0, 0]
+
+    def test_dd_misread_rate_matches_the_analytic_rate(self):
+        # two-sided, at 10^6 samples: 2,700 +- 260 misreads
+        cfg, n = DeviceConfig(), 10**6
+        wrong = u1_misreads(sample_many(DD, n, cfg, np.random.default_rng(2024)), DD, cfg)
+        mean = n * P_DD_MISREAD
+        assert abs(wrong - mean) <= 5 * math.sqrt(mean * (1 - P_DD_MISREAD))
 
 
 class TestControlledGateLaw:
