@@ -9,13 +9,18 @@ irreversible.
 ``classify`` first projects out non-essential inputs, so e.g. the transition
 (1, a, b) -> (1, a, not b) is named a unary NOT, with line 3 its one
 essential input.
+
+``derived_connectives`` sweeps the fixings on truth tables held as ints (bit c
+is the output at input code c): input j is essential when the Boolean
+difference along j meets the fixing's subcube. The per-fixing route,
+``output_function`` then ``classify``, is the oracle it is tested against.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator, Mapping
 
 from .core import Gate, Word, all_words
@@ -24,7 +29,7 @@ MAX_DERIVE_WIDTH = 8  # widest gate derived_connectives sweeps: 3^8 - 2^8 = 6,30
 
 
 class InvalidFixing(ValueError):
-    """A fixing names a line outside the gate, or assigns a line twice."""
+    """A fixing is not (line, bit) pairs within its width, or assigns a line twice."""
 
 
 @dataclass(frozen=True)
@@ -35,17 +40,23 @@ class Fixing:
     fixed: tuple[tuple[int, int], ...]  # (line, bit) pairs, sorted by line
 
     def __post_init__(self) -> None:
-        for line, bit in self.fixed:
+        if type(self.width) is not int:
+            raise InvalidFixing(f"fixing width must be an int, got {self.width!r}")
+        try:
+            pairs = [(line, bit) for line, bit in self.fixed]
+        except (TypeError, ValueError):
+            raise InvalidFixing(f"fixed must be (line, bit) pairs, got {self.fixed!r}") from None
+        for line, bit in pairs:
             if type(line) is not int or not 1 <= line <= self.width:
                 raise InvalidFixing(f"line {line!r} outside 1..{self.width}")
             if type(bit) is not int or bit not in (0, 1):
                 raise InvalidFixing(f"fixed value must be a bit, got {bit!r}")
-        lines = [line for line, _ in self.fixed]
+        lines = [line for line, _ in pairs]
         if len(set(lines)) != len(lines):
             raise InvalidFixing(f"line assigned twice in {self.fixed}")
-        if len(self.fixed) >= self.width:
+        if len(pairs) >= self.width:
             raise InvalidFixing("at least one line must remain free")
-        object.__setattr__(self, "fixed", tuple(sorted(self.fixed)))
+        object.__setattr__(self, "fixed", tuple(sorted(pairs)))
 
     @classmethod
     def of(cls, width: int, assignments: Mapping[int, int]) -> "Fixing":
@@ -170,6 +181,9 @@ BINARY_NAMES: dict[tuple[int, ...], Connective] = {
     (0, 0, 1, 0): Connective.NIMPLIES_AB,
     (0, 1, 0, 0): Connective.NIMPLIES_BA,
 }
+# Every name: the truth vector over zero, one or two essential inputs.
+_NAMES = {(0,): Connective.CONST0, (1,): Connective.CONST1,
+          (0, 1): Connective.ID, (1, 0): Connective.NOT, **BINARY_NAMES}
 
 
 def classify(bf: BooleanFunction) -> Connective:
@@ -184,13 +198,7 @@ def classify(bf: BooleanFunction) -> Connective:
 
     # Non-essential inputs read as 0: the function does not depend on them.
     weights = [1 << (bf.arity - 1 - bf.inputs.index(line)) for line in sorted(bf.essential)]
-    truth = tuple(map(bf.truth.__getitem__, _subset_codes(0, weights)))
-
-    if len(bf.essential) == 0:
-        return Connective.CONST1 if truth[0] else Connective.CONST0
-    if len(bf.essential) == 1:
-        return Connective.ID if truth == (0, 1) else Connective.NOT
-    return BINARY_NAMES[truth]
+    return _NAMES[tuple(map(bf.truth.__getitem__, _subset_codes(0, weights)))]
 
 
 @dataclass(frozen=True)
@@ -224,13 +232,27 @@ def iter_fixings(width: int) -> Iterator[Fixing]:
                 yield Fixing(width, tuple(zip(lines, values)))
 
 
-def _passes_through(bf: BooleanFunction, name: Connective, fixing: Fixing, line: int) -> bool:
-    """True when output ``line`` merely relays input ``line``: the identity of
-    its own free input, or the constant it was fixed to."""
-    if line in fixing.free:
-        return name is Connective.ID and bf.essential == {line}
-    wanted = Connective.CONST1 if fixing.assignments[line] else Connective.CONST0
-    return name is wanted
+@cache
+def _sweep(width: int) -> tuple[list[int], list[tuple]]:
+    """``iter_fixings(width)`` as truth-table masks: bit c stands for input
+    code c, and ``low[j]`` marks the codes with line j clear (``low[0]`` is
+    0). Each fixing comes with its subcube (the codes it selects), its base
+    code (free lines 0), its free lines and, per line but the last, the
+    (name, essential) pair that merely relays that line's own input."""
+    size = 1 << width
+    low = [0] + [sum(1 << c for c in range(size) if not c >> width - j & 1)
+                 for j in range(1, width + 1)]
+    records = []
+    for fixing in iter_fixings(width):
+        cube, base = (1 << size) - 1, 0
+        for line, bit in fixing.fixed:
+            cube &= ~low[line] if bit else low[line]
+            base |= bit << width - line
+        fixed = fixing.assignments
+        relay = [(_NAMES[(fixed[line],)], ()) if line in fixed else (Connective.ID, (line,))
+                 for line in range(1, width)] + [None]
+        records.append((fixing, cube, base, fixing.free, relay))
+    return low, records
 
 
 def derived_connectives(gate: Gate) -> DerivedConnectives:
@@ -244,26 +266,29 @@ def derived_connectives(gate: Gate) -> DerivedConnectives:
     """
     if gate.width > MAX_DERIVE_WIDTH:
         raise InvalidFixing(f"derivation takes widths 1..{MAX_DERIVE_WIDTH}, got {gate.width}")
+    width, perm = gate.width, gate.perm
+    low, sweep = _sweep(width)
+    tables = []
+    for line in range(1, width + 1):
+        table = sum((out >> width - line & 1) << code for code, out in enumerate(perm))
+        # Boolean difference: bit c (line j clear at c) is set when flipping j flips the output
+        tables.append((table, [(table ^ table >> (1 << width - j)) & mask
+                               for j, mask in enumerate(low)]))
     entries: list[Derivation] = []
-    for fixing in iter_fixings(gate.width):
-        per_line = {}
-        for line in range(1, gate.width + 1):
-            bf = output_function(gate, fixing, line)
-            per_line[line] = (bf, classify(bf))
-        for line, (bf, name) in per_line.items():
-            if line != gate.width and _passes_through(bf, name, fixing, line):
+    for fixing, cube, base, free, relay in sweep:
+        found = []
+        for table, diff in tables:
+            essential = tuple(j for j in free if diff[j] & cube)
+            name = Connective.RAW
+            if len(essential) <= 2:  # read at most 4 codes
+                codes = _subset_codes(base, [1 << width - j for j in essential])
+                name = _NAMES[tuple(table >> code & 1 for code in codes)]
+            found.append((name, essential))
+        for line, (name, essential) in enumerate(found, 1):
+            if name is Connective.RAW or found[line - 1] == relay[line - 1]:
                 continue
-            if name is Connective.RAW:
-                continue
-            fans_out = (
-                name is Connective.ID
-                and bf.essential != {line}
-                and any(
-                    other != line and other_name is Connective.ID
-                    and other_bf.essential == bf.essential
-                    for other, (other_bf, other_name) in per_line.items()
-                )
-            )
-            name = Connective.FANOUT if fans_out else name
-            entries.append(Derivation(fixing, line, name, tuple(sorted(bf.essential))))
+            if (name is Connective.ID and essential != (line,)
+                    and found.count((name, essential)) > 1):
+                name = Connective.FANOUT
+            entries.append(Derivation(fixing, line, name, essential))
     return DerivedConnectives(tuple(entries), frozenset(e.connective for e in entries))

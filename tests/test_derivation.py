@@ -16,6 +16,7 @@ from revlogic.derivation import (
     BooleanFunction,
     Connective,
     Derivation,
+    DerivedConnectives,
     Fixing,
     InvalidFixing,
     classify,
@@ -27,7 +28,7 @@ from revlogic.derivation import (
 from seed_core import full_word, identity_gate
 from revlogic.library import build
 
-#: One sweep per gate: the width-8 cases share theirs, at about 1 s each.
+#: One sweep per gate, shared by the tests that derive the same width-8 gate.
 derive = functools.cache(derived_connectives)
 
 
@@ -121,6 +122,20 @@ class TestFixing:
         # bool and float would pass the range checks, then mislabel or break input_codes
         with pytest.raises(InvalidFixing):
             Fixing.of(3, assignments)
+
+    @pytest.mark.parametrize("width,fixed", [
+        (3.0, ()), (True, ()), ("3", ()), (None, ()),
+        (3, None), (3, 5), (3, [1, 2]), (3, [(1, 0, 0)]), (3, ((1,),)), (3, "x1"),
+    ])
+    def test_width_and_pairs_must_be_what_they_say(self, width, fixed):
+        # a float or bool width used to build, and input_codes then failed;
+        # fixed=None raised TypeError
+        with pytest.raises(InvalidFixing):
+            Fixing(width, fixed)
+
+    def test_any_sequence_of_pairs_builds_the_same_fixing(self):
+        assert Fixing(3, [(1, 0)]) == Fixing(3, [[1, 0]]) == Fixing.of(3, {1: 0})
+        assert Fixing(3, [[1, 0]]).fixed == ((1, 0),)
 
     def test_unhashable_line_is_an_invalid_fixing(self):
         # the duplicate check hashes every line, so the type check must come first
@@ -323,6 +338,39 @@ class TestDerivedConnectives:
         assert Derivation(fixing, 8, Connective.AND, (6, 7)) in result.entries
 
 
+def reference_derived_connectives(gate):
+    """The per-fixing route: name each (fixing, line) by ``output_function`` and
+    ``classify``, then drop RAW and the lines but the last that relay their own
+    input, and mark an ID that another line also carries as FANOUT."""
+    entries = []
+    for fixing in iter_fixings(gate.width):
+        per_line = {}
+        for line in range(1, gate.width + 1):
+            bf = output_function(gate, fixing, line)
+            per_line[line] = (bf, classify(bf))
+        for line, (bf, name) in per_line.items():
+            if name is Connective.RAW:
+                continue
+            if line != gate.width:
+                if line in fixing.free and name is Connective.ID and bf.essential == {line}:
+                    continue
+                if line not in fixing.free and name.value == f"CONST{fixing.assignments[line]}":
+                    continue
+            if name is Connective.ID and bf.essential != {line} and any(
+                    other != line and other_name is Connective.ID
+                    and other_bf.essential == bf.essential
+                    for other, (other_bf, other_name) in per_line.items()):
+                name = Connective.FANOUT
+            entries.append(Derivation(fixing, line, name, tuple(sorted(bf.essential))))
+    return DerivedConnectives(tuple(entries), frozenset(e.connective for e in entries))
+
+
+def assert_same_as_the_per_fixing_route(gate):
+    got, want = derived_connectives(gate), reference_derived_connectives(gate)
+    assert got.entries == want.entries  # same order, fixings, names and essential tuples
+    assert got.names == want.names
+
+
 ORACLE_GATES = [build(gate_id) for gate_id in ("cl", "toffoli", "x", "i")] + [
     random_gate(width, seed) for width in range(1, 6) for seed in range(3)]
 
@@ -455,12 +503,24 @@ def relabelled(entry, sigma):
         sigma[entry.line], name, tuple(sorted(sigma[line] for line in entry.essential)))
 
 
-# a width-6 sweep takes about 80 ms: few examples, no deadline, no shrinking
+# a width-7 sweep takes about 40 ms (its per-fixing reference about 0.2 s):
+# few examples, no deadline, no shrinking
 DERIVE_SETTINGS = dict(deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 
+@settings(max_examples=15, **DERIVE_SETTINGS)
+@given(st.integers(1, 6).flatmap(lambda width: st.permutations(range(1 << width))))
+def test_the_sweep_matches_the_per_fixing_route(perm):
+    assert_same_as_the_per_fixing_route(Gate(len(perm).bit_length() - 1, tuple(perm)))
+
+
+@pytest.mark.parametrize("gate", [random_gate(7, 2024), toffoli(8)], ids=["random7", "toffoli8"])
+def test_the_sweep_matches_the_per_fixing_route_at_widths_7_and_8(gate):
+    assert_same_as_the_per_fixing_route(gate)
+
+
 @settings(max_examples=20, **DERIVE_SETTINGS)
-@given(st.integers(1, 6).flatmap(lambda width: st.tuples(
+@given(st.integers(1, 7).flatmap(lambda width: st.tuples(
     st.permutations(range(1 << width)), st.permutations(range(1, width)))))
 def test_relabelling_wires_relabels_entries(case):
     perm, order = case
@@ -473,7 +533,7 @@ def test_relabelling_wires_relabels_entries(case):
 
 
 @settings(max_examples=15, **DERIVE_SETTINGS)
-@given(st.integers(1, 5).flatmap(lambda width: st.permutations(range(1 << width))),
+@given(st.integers(1, 6).flatmap(lambda width: st.permutations(range(1 << width))),
        st.sampled_from([front_wire, back_wire]))
 def test_a_pass_through_line_keeps_every_name(perm, embed):
     gate = Gate(len(perm).bit_length() - 1, tuple(perm))

@@ -215,6 +215,13 @@ class TestRunHistogram:
         aa = run_histogram(AA, 10_000, seed=2)
         assert da.mode_bin[1] < 1.0 < aa.mode_bin[0]
 
+    @pytest.mark.parametrize("bin_width", [device.DEFAULT_BIN_WIDTH, 0.001])
+    @pytest.mark.parametrize("ps", [DD, DA, AA])
+    def test_mode_bin_is_the_lowest_fullest_bin(self, ps, bin_width):
+        hist = run_histogram(ps, 10_000, seed=6, bin_width=bin_width)
+        i = hist.counts.index(max(hist.counts))
+        assert hist.mode_bin == (hist.bin_edges[i], hist.bin_edges[i + 1])
+
     def test_mode_ordering_da_below_ad_when_distinguishable(self):
         da = run_histogram(DA, 10_000, DISTINGUISHABLE, seed=1)
         ad = run_histogram(AD, 10_000, DISTINGUISHABLE, seed=2)

@@ -221,6 +221,14 @@ class TestEnergyReport:
         assert data["erased_bits"] == pytest.approx(report.erased_bits)
         assert data["min_energy_joules"] == pytest.approx(report.min_energy_joules(300.0))
 
+    @pytest.mark.parametrize("gate_id", all_gate_ids())
+    def test_a_gate_with_its_garbage_kept_costs_exactly_zero_joules(self, gate_id):
+        # the paper's headline number: exactly 0.0, not a floor above it
+        gate = build(gate_id)
+        report = info_loss(transfer_table(gate), Distribution.uniform_words(gate.width))
+        assert report.min_energy_joules(300.0) == 0.0
+        assert report.to_json(300.0)["min_energy_joules"] == 0.0
+
 
 @settings(max_examples=60)
 @given(st.data())
