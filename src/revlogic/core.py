@@ -49,6 +49,8 @@ class Word:
     index: int
 
     def __new__(cls, bits: tuple[int, ...]) -> "Word":
+        if not hasattr(bits, "__len__"):
+            raise GateError(f"word bits must be a sequence of 0s and 1s, got {bits!r}")
         if not 1 <= len(bits) <= MAX_WIDTH:
             raise WrongLength(f"word width must be 1..{MAX_WIDTH}, got {len(bits)}")
         value = 0
@@ -141,6 +143,8 @@ class Gate:
 
     def __post_init__(self) -> None:
         """Store ``perm`` as a tuple, then check width, length, range and bijectivity."""
+        if not hasattr(self.perm, "__iter__"):
+            raise GateError(f"gate entries must be a sequence of ints, got {self.perm!r}")
         object.__setattr__(self, "perm", tuple(self.perm))
         width, size = self.width, len(self.perm)
         _check_width(width, "gate")
@@ -150,6 +154,13 @@ class Gate:
             raise WidthMismatch(f"width-{width} gate entries must be ints in 0..{size - 1}")
         if len(set(self.perm)) != size:
             raise NotBijective("output table repeats a word")
+
+    @classmethod
+    def _of(cls, width: int, perm: tuple[int, ...], name: str) -> "Gate":
+        """A gate on a permutation by construction, which ``__post_init__`` would prove again."""
+        gate = object.__new__(cls)
+        gate.__dict__.update(width=width, perm=perm, name=name)
+        return gate
 
     @cached_property
     def table(self) -> tuple[Word, ...]:
@@ -168,18 +179,19 @@ class Gate:
 
     def then(self, other: "Gate") -> "Gate":
         """Serial cascade: ``self`` first, then ``other``."""
+        if not isinstance(other, Gate):
+            raise GateError(f"can only compose with a Gate, got {type(other).__name__}")
         if other.width != self.width:
             raise WidthMismatch(f"cannot compose widths {self.width} and {other.width}")
         name = f"{self.name}∘{other.name}" if self.name and other.name else ""
-        return Gate(self.width, tuple(map(other.perm.__getitem__, self.perm)), name)
+        return Gate._of(self.width, tuple(map(other.perm.__getitem__, self.perm)), name)
 
     def inverse(self) -> "Gate":
         """The inverse permutation; for a self-reversible gate, the same table."""
         inv = [0] * len(self.perm)
         for i, out in enumerate(self.perm):
             inv[out] = i
-        name = f"{self.name}⁻¹" if self.name else ""
-        return Gate(self.width, tuple(inv), name)
+        return Gate._of(self.width, tuple(inv), f"{self.name}⁻¹" if self.name else "")
 
     def flags(self) -> GateFlags:
         """Structural predicates, each decided by exhaustive enumeration."""
@@ -208,7 +220,9 @@ class Gate:
         return make_gate(data["width"], data["table"], name=name)
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json())
+        """``json.dumps(self.to_json())``; rows are plain 0/1 strings, so one join writes them."""
+        rows = '", "'.join(self.to_json()["table"])
+        return f'{{"name": {json.dumps(self.name)}, "width": {self.width}, "table": ["{rows}"]}}'
 
     @classmethod
     def loads(cls, text: str) -> "Gate":
@@ -231,15 +245,19 @@ def make_gate(width: int, outputs: Iterable["Word | str | Sequence[int]"], name:
     """Build a gate from its output rows (words, bitstrings or bit sequences) in encoding order."""
     if type(width) is not int:  # an int width out of range lets a bad row speak first
         _check_width(width, "gate")
+    if not hasattr(outputs, "__iter__"):
+        raise GateError(f"gate rows must be an iterable, got {outputs!r}")
     rows = list(outputs)
-    # Well-formed bitstrings skip the Word path, which reads every row before checking the gate.
+    # Rows of ASCII 0s and 1s (int() also reads "_", spaces and non-ASCII digits) are ints in
+    # range: one base-2 parse of all rows, padded to 16 bits each, read back as uint16s.
     if (1 <= width <= MAX_WIDTH and len(rows) == 1 << width and set(map(type, rows)) == {str}
             and set(map(len, rows)) == {width}
-            and not "".join(rows).translate(str.maketrans("", "", "01"))):
-        # One base-2 parse of every row, each padded to 16 bits, read back as big-endian uint16s.
-        pad = "0" * (16 - width)
-        data = int(pad + pad.join(rows), 2).to_bytes(2 << width, "big")
-        return Gate(width, struct.unpack(f">{1 << width}H", data), name)
+            and (text := ("0" * (16 - width)).join(rows)).isascii()
+            and not text.encode().translate(None, b"01")):
+        perm = struct.unpack(f">{1 << width}H", int(text, 2).to_bytes(2 << width, "big"))
+        if len(set(perm)) != len(perm):
+            raise NotBijective("output table repeats a word")
+        return Gate._of(width, perm, name)
     words = [as_word(out) for out in rows]
     if 1 <= width <= MAX_WIDTH and len(words) == 1 << width:
         for out in words:

@@ -89,6 +89,8 @@ def input_codes(gate: Gate, fixing: Fixing) -> tuple[int, ...]:
     """Encodings of the gate inputs a fixing selects, in free-input encoding order.
 
     The one place a fixing's width is checked against the gate's."""
+    if not isinstance(fixing, Fixing):
+        raise InvalidFixing(f"fixing must be a Fixing, got {type(fixing).__name__}")
     if fixing.width != gate.width:
         raise InvalidFixing(f"fixing is for width {fixing.width}, gate has {gate.width}")
     base = sum(bit << (gate.width - line) for line, bit in fixing.fixed)

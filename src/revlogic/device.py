@@ -95,8 +95,10 @@ class DeviceConfig:
 
     def __post_init__(self) -> None:
         values = (self.alpha_hat1, self.alpha_tilde1, self.alpha2, self.sigma)
-        if not all(math.isfinite(v) for v in values):
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values):
             raise ValueError(f"angles and sigma must be finite, got {values}")
+        if type(self.distinguishable) is not bool:  # a truthy "no" would resolve DA and AD
+            raise ValueError(f"distinguishable must be a bool, got {self.distinguishable!r}")
         # alpha2 + SUPPORT_SIGMAS * sigma bounds every sample; past the float range it is inf
         if not (self.sigma > 0 and math.isfinite(self.alpha2 + SUPPORT_SIGMAS * self.sigma)):
             raise ValueError(f"sigma must be positive and keep the sample support "

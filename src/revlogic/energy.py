@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import repeat
+from numbers import Real
 from types import MappingProxyType
 from typing import Hashable, Mapping
 
@@ -45,12 +46,15 @@ class Distribution:
     probabilities: Mapping[Hashable, float]
 
     def __post_init__(self) -> None:
-        # `not p >= 0` and `not d <= tol` hold for NaN, unlike `p < 0` and `d > tol`.
-        if not all(map(operator.ge, self.probabilities.values(), repeat(0))):
-            raise InvalidDistribution("negative probability")
-        total = sum(self.probabilities.values())
-        if not abs(total - 1.0) <= _SUM_TOL:
-            raise InvalidDistribution(f"probabilities sum to {total}, not 1")
+        try:
+            # `not p >= 0` and `not d <= tol` hold for NaN, unlike `p < 0` and `d > tol`.
+            if not all(map(operator.ge, self.probabilities.values(), repeat(0))):
+                raise InvalidDistribution("negative probability")
+            total = sum(self.probabilities.values())
+            if not abs(total - 1.0) <= _SUM_TOL:
+                raise InvalidDistribution(f"probabilities sum to {total}, not 1")
+        except (AttributeError, TypeError):  # None.values(), "1" >= 0
+            raise InvalidDistribution("probabilities must map outcomes to real numbers") from None
 
     @classmethod
     def uniform(cls, outcomes) -> "Distribution":
@@ -168,9 +172,9 @@ def info_loss(table: Mapping[Word, Hashable], dist: Distribution) -> EnergyRepor
 
 def landauer_energy(bits: float, temperature_K: float) -> float:
     """Minimum dissipation for erasing ``bits`` at ``temperature_K`` kelvin."""
-    if not 0 <= bits < math.inf:
+    if not (isinstance(bits, Real) and 0 <= bits < math.inf):
         raise ValueError(f"erased bits must be finite and >= 0, got {bits}")
-    if not 0 < temperature_K < math.inf:
+    if not (isinstance(temperature_K, Real) and 0 < temperature_K < math.inf):
         raise NonphysicalTemperature(f"temperature must be finite and > 0 K, got {temperature_K}")
     return bits * BOLTZMANN_JK * temperature_K * math.log(2)
 
@@ -192,10 +196,14 @@ def transfer_table(
     else:
         codes = input_codes(gate, fixing)
         inputs, outputs = map(words.__getitem__, codes), map(gate.perm.__getitem__, codes)
+    # without a fixing, a copy of the shared uniform mapping: presized, its keys the words in order
+    table = Distribution.uniform_words(gate.width).probabilities.copy() if fixing is None else {}
     if project_line is None:
-        return dict(zip(inputs, map(words.__getitem__, outputs)))
+        table.update(zip(inputs, map(words.__getitem__, outputs)))
+        return table
     # a bool, float or str line gets this ValueError too: True would read line 1
     if type(project_line) is not int or not 1 <= project_line <= gate.width:
         raise ValueError(f"output line {project_line!r} outside 1..{gate.width}")
     shift = gate.width - project_line
-    return {word: (out >> shift) & 1 for word, out in zip(inputs, outputs)}
+    table.update(zip(inputs, [(out >> shift) & 1 for out in outputs]))
+    return table

@@ -77,7 +77,7 @@ def normalize(
     """Apply one angle-to-bit normalization function."""
     norm = NormalizationId(norm)
     cfg = cfg or DeviceConfig()
-    if not (isinstance(alpha, Real) and 0 <= alpha < math.inf):
+    if not (isinstance(alpha, Real) and type(alpha) is not bool and 0 <= alpha < math.inf):
         raise ValueError(f"angles are measured from the vertical, must be finite and >= 0, "
                          f"got {alpha!r}")
     if norm is NormalizationId.DELTA_U1:

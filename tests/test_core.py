@@ -61,6 +61,11 @@ class TestWord:
         with pytest.raises(ValueError):
             Word((True, False))
 
+    def test_bits_of_none_raise_a_gate_error(self):
+        # a TypeError from len(None) before
+        with pytest.raises(GateError, match="word bits must be a sequence"):
+            Word(None)
+
 
     def test_pickles_through_its_bits(self):
         word = Word((1, 0, 1))
@@ -159,6 +164,16 @@ class TestMakeGate:
         with pytest.raises(WidthMismatch):
             make_gate(2, ["00", "01", "10", "111"])
 
+    def test_rows_of_none_raise_a_gate_error(self):
+        # a TypeError from list(None) before
+        with pytest.raises(GateError, match="gate rows must be an iterable"):
+            make_gate(3, None)
+
+    def test_gate_entries_of_none_raise_a_gate_error(self):
+        # a TypeError from tuple(None) before
+        with pytest.raises(GateError, match="gate entries must be a sequence"):
+            Gate(3, None)
+
 
 class TestApply:
     def test_cl_rows(self):
@@ -195,6 +210,12 @@ class TestCompose:
     def test_width_mismatch(self):
         with pytest.raises(WidthMismatch):
             build("cl").then(build("cnot"))
+
+    @pytest.mark.parametrize("other", [3, "x", None], ids=["int", "str", "none"])
+    def test_then_refuses_what_is_not_a_gate(self, other):
+        # an AttributeError from other.width before
+        with pytest.raises(GateError, match="can only compose with a Gate"):
+            build("cl").then(other)
 
     @given(st.tuples(st.permutations(range(8)), st.permutations(range(8)),
                      st.permutations(range(8))))

@@ -114,6 +114,12 @@ class TestDeviceConfig:
         with pytest.raises(ValueError):
             DeviceConfig(alpha_hat1=1.1, alpha_tilde1=1.2)
 
+    @pytest.mark.parametrize("flag", ["no", "", 1, None])
+    def test_distinguishable_must_be_a_bool(self, flag):
+        # a truthy "no" once resolved DA and AD at 0.78 and 0.93
+        with pytest.raises(ValueError, match="distinguishable must be a bool"):
+            DeviceConfig(distinguishable=flag)
+
     def test_sigma_positive(self):
         with pytest.raises(ValueError):
             DeviceConfig(sigma=0.0)
@@ -125,7 +131,7 @@ class TestDeviceConfig:
         assert DeviceConfig(sigma=1e300).sigma == 1e300
 
     @pytest.mark.parametrize("field", ["sigma", "alpha_hat1", "alpha_tilde1", "alpha2"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "x", None])
     def test_non_finite_values_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             DeviceConfig(**{field: value})

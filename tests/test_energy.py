@@ -67,6 +67,17 @@ class TestShannonEntropy:
             with pytest.raises(InvalidDistribution):
                 Distribution(probabilities)
 
+    def test_probabilities_of_none_are_refused(self):
+        # an AttributeError from None.values() before
+        with pytest.raises(InvalidDistribution, match="must map outcomes to real numbers"):
+            Distribution(None)
+
+    @pytest.mark.parametrize("p", ["1", None, 1j, [1.0]])
+    def test_a_probability_that_is_not_a_number_is_refused(self, p):
+        # a TypeError from "1" >= 0 before
+        with pytest.raises(InvalidDistribution, match="must map outcomes to real numbers"):
+            Distribution({Word((0,)): p})
+
 
 class TestInfoLoss:
     def test_irreversible_or_erases_the_garbage_entropy(self):
@@ -107,6 +118,11 @@ class TestInfoLoss:
             dists += [random_words(gate.width, rng) for _ in range(10)]
             for dist in dists:
                 assert abs(info_loss(table, dist).erased_bits) <= 1e-12, gate_id
+
+    def test_a_fixing_that_is_not_a_fixing_is_rejected(self):
+        # an AttributeError from {3: 0}.width before
+        with pytest.raises(InvalidFixing, match="fixing must be a Fixing, got dict"):
+            transfer_table(build("cl"), {3: 0})
 
     def test_fixing_of_another_width_is_rejected(self):
         with pytest.raises(InvalidFixing, match="fixing is for width 3, gate has 2"):
@@ -208,6 +224,14 @@ class TestLandauerEnergy:
     def test_non_finite_temperature(self, temperature):
         with pytest.raises(NonphysicalTemperature):
             landauer_energy(1.0, temperature)
+
+    @pytest.mark.parametrize("value", ["1", None, 1j])
+    def test_values_that_are_not_numbers_get_the_range_errors(self, value):
+        # a TypeError from "1" >= 0 before
+        with pytest.raises(ValueError, match="erased bits must be finite and >= 0"):
+            landauer_energy(value, 300.0)
+        with pytest.raises(NonphysicalTemperature, match="temperature must be finite and > 0 K"):
+            landauer_energy(1.0, value)
 
 
 class TestEnergyReport:

@@ -154,7 +154,8 @@ class TestNormalize:
         with pytest.raises(ValueError):
             delta_normalize(0.0, alpha)
 
-    @pytest.mark.parametrize("alpha", ["0.5", "a", None, [0.5], 1j])
+    # a bool is no angle: normalize("u1", True) once returned 1
+    @pytest.mark.parametrize("alpha", ["0.5", "a", None, [0.5], 1j, True, False])
     def test_non_number_angle_gets_the_nan_error(self, alpha):
         message = outcome(normalize, "u1", float("nan"))[1].replace("nan", repr(alpha))
         for norm in ("u1", "u3bar", "u4", "delta"):

@@ -9,6 +9,8 @@ width 1..16, with only a few examples at widths 14..16.
 """
 import dataclasses
 import itertools
+import json
+import operator
 import random
 
 import numpy as np
@@ -486,3 +488,90 @@ def test_make_gate_malformed_row_matches_reference(width, spec, mutation, data):
     at = data.draw(st.integers(0, len(outputs) - 1))
     outputs[at] = ROW_MUTATIONS[mutation](outputs[at])
     assert_make_gate_matches_reference(width, outputs)
+
+
+# ``then``, ``inverse`` and well-formed bitstring rows build their gates without
+# ``__post_init__``: each such gate must be the one the full check would build.
+
+
+def unchecked_gates(width, spec, other_spec):
+    """Gates of ``width`` that ``make_gate`` (bitstrings), ``inverse`` and ``then`` build."""
+    gate = make_gate(width, rows(spec[0], width, spec[1]), name="g")
+    other = make_gate(width, rows(other_spec[0], width, other_spec[1]))
+    return gate, other, gate.inverse(), gate.then(other), other.then(gate.inverse()), gate.then(gate)
+
+
+def assert_passes_the_full_check(gate):
+    checked = Gate(gate.width, list(gate.perm), gate.name)
+    assert vars(gate) == vars(checked) and type(gate.perm) is tuple
+    assert gate == checked and hash(gate) == hash(checked) and repr(gate) == repr(checked)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 10), specs, specs)
+def test_unchecked_gates_pass_the_full_check(width, spec, other_spec):
+    for gate in unchecked_gates(width, spec, other_spec):
+        assert_passes_the_full_check(gate)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_unchecked_gates_pass_the_full_check_at_width_16(kind):
+    for gate in unchecked_gates(16, (kind, 16), ("random", 17)):
+        assert_passes_the_full_check(gate)
+
+
+#: Names ``dumps`` must escape exactly as ``json.dumps`` does.
+NAMES = ["", "g", 'say "hi"', "back\\slash", "\\\"", "tab\tand\nnewline", "\x00\x7f",
+         "g∘h⁻¹", "é", "😀", "\ud800"]
+
+
+def assert_dumps_is_json_dumps(gate):
+    assert gate.dumps() == json.dumps(gate.to_json())
+    loaded = Gate.loads(gate.dumps())
+    assert loaded == gate and loaded.name == gate.name
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 10), specs, st.sampled_from(NAMES) | st.text())
+def test_dumps_is_json_dumps_of_to_json(width, spec, name):
+    assert_dumps_is_json_dumps(Gate(width, permutation(spec[0], width, spec[1]), name))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_dumps_is_json_dumps_of_to_json_at_width_16(kind):
+    perm = permutation(kind, 16, 16)
+    for name in NAMES:
+        assert_dumps_is_json_dumps(Gate(16, perm, name))
+
+
+def comprehension_transfer_table(gate, project_line=None):
+    """The transfer table without a fixing, as a dict comprehension over the words."""
+    words = all_words(gate.width)
+    if project_line is None:
+        return {word: words[out] for word, out in zip(words, gate.perm)}
+    shift = gate.width - project_line
+    return {word: (out >> shift) & 1 for word, out in zip(words, gate.perm)}
+
+
+def assert_transfer_tables_match_the_comprehension(gate, project_line):
+    uniform = Distribution.uniform_words(gate.width).probabilities
+    for line in (None, project_line):
+        table = transfer_table(gate, project_line=line)
+        assert list(table.items()) == list(comprehension_transfer_table(gate, line).items())
+        assert len(table) == len(all_words(gate.width))
+        assert all(map(operator.is_, table, all_words(gate.width)))
+        table.clear()  # the table is the caller's own: the shared uniform mapping stays whole
+    assert set(uniform.values()) == {1.0 / len(all_words(gate.width))}
+    assert list(uniform) == list(all_words(gate.width))
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 10), specs, st.data())
+def test_transfer_tables_match_the_comprehension(width, spec, data):
+    gate = Gate(width, permutation(spec[0], width, spec[1]))
+    assert_transfer_tables_match_the_comprehension(gate, data.draw(st.integers(1, width)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_transfer_tables_match_the_comprehension_at_width_16(kind):
+    assert_transfer_tables_match_the_comprehension(Gate(16, permutation(kind, 16, 16)), 7)
