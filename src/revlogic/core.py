@@ -114,11 +114,13 @@ def all_words(width: int) -> tuple[Word, ...]:
 
 
 def as_word(value: "Word | str | Sequence[int]") -> Word:
-    """Coerce a Word, bitstring, or bit sequence to a Word."""
+    """Coerce a Word, bitstring, or bit sequence to a Word; anything else is a ``GateError``."""
     if isinstance(value, Word):
         return value
     if isinstance(value, str):
         return Word.from_string(value)
+    if not hasattr(value, "__iter__"):
+        raise GateError(f"a row must be a Word, bitstring or bit sequence, got {value!r}")
     return Word(tuple(value))
 
 

@@ -119,6 +119,15 @@ class DeviceConfig:
         return 0.5 * (self.alpha_hat1 + self.alpha_tilde1)
 
 
+def as_config(cfg: DeviceConfig | None, distinguishable: bool = False) -> DeviceConfig:
+    """``cfg`` itself, or for None the default config; anything else is refused."""
+    if cfg is None:
+        return DeviceConfig(distinguishable=distinguishable)
+    if not isinstance(cfg, DeviceConfig):
+        raise ValueError(f"config must be a DeviceConfig or None, got {cfg!r}")
+    return cfg
+
+
 def equilibrium_angle(ps: ProbeState, cfg: DeviceConfig | None = None) -> float:
     """Noise-free rest angle for a probe configuration.
 
@@ -127,7 +136,7 @@ def equilibrium_angle(ps: ProbeState, cfg: DeviceConfig | None = None) -> float:
     """
     if not isinstance(ps, ProbeState):
         raise ValueError(f"probe state must be a ProbeState, got {ps!r}")
-    cfg = cfg or DeviceConfig()
+    cfg = as_config(cfg)
     if ps == DD:
         return 0.0
     if ps == AA:
@@ -220,7 +229,7 @@ def run_histogram(
     if not 0 < width < math.inf:
         raise ValueError(f"bin width must be finite and positive, got {bin_width}")
     bin_width = width
-    cfg = cfg or DeviceConfig()
+    cfg = as_config(cfg)
     equilibrium_angle(ps, cfg)  # refuse a bad probe state before numpy loads
     import numpy as np
 

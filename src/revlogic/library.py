@@ -59,7 +59,7 @@ def coerce_gate_id(value: "GateId | str") -> GateId:
         return value
     try:
         return GateId(value.lower())
-    except ValueError:
+    except (AttributeError, ValueError):  # AttributeError: a value with no .lower(), not a str
         raise UnknownId(f"unknown gate id {value!r}; choose from "
                         f"{', '.join(g.value for g in GateId)}") from None
 

@@ -14,9 +14,11 @@ reproduces, row for row, one restriction of a self-reversible 3-line gate:
     u4     class vector (1, 1, 0, 1) at DD, DA, AD, AA    -> I       x3=1   IMPLIES_AB
     delta  |u1(in) - u1(out)|                             -> CL      x1=0   XOR
 
-u4 reads the rest angle within ``u4_tolerance``, so it needs a config that resolves the two
-one-probe angles. The delta form is the odd one out: it varies the initial angle as a genuine
-input, so line 1 (probe 1, held off) is the ancilla instead of line 3.
+Every normalization is read one way: its class vector f, the bits of the rest angles of
+DD, DA, AD and AA, defines the self-inverse law gate x3' = x3 xor (f xor f(DD))(x1, x2),
+restricted at x3 = f(DD) as DD rests at the vertical. delta is u1's law gate (CL) restricted
+at x1 = 0. u4 reads the rest angle within ``u4_tolerance``, so it needs a config that
+resolves the two one-probe angles.
 """
 from __future__ import annotations
 
@@ -26,16 +28,10 @@ from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
 
-from .core import Word, all_words
-from .derivation import (
-    BooleanFunction,
-    Connective,
-    Fixing,
-    classify,
-    derived_connectives,
-    input_codes,
-)
-from .device import PROBE_STATES, DeviceConfig, equilibrium_angle
+from .core import Gate, Word
+from .derivation import Connective, Fixing, classify, derived_connectives, output_function
+from .device import PROBE_STATES, DeviceConfig, as_config, equilibrium_angle
+from .energy import transfer_table
 from .library import GateId, build
 
 #: Zero-angle tolerance of u1 and u3, for noiseless (equilibrium) angles.
@@ -63,8 +59,9 @@ class U4Unclassifiable(ValueError):
     """An angle matched none of the configured rest angles."""
 
 
-def u4_tolerance(cfg: DeviceConfig) -> float:
+def u4_tolerance(cfg: DeviceConfig | None) -> float:
     """Half the smallest gap between the four configured rest angles."""
+    cfg = as_config(cfg)
     means = sorted([0.0, cfg.alpha_hat1, cfg.alpha_tilde1, cfg.alpha2])
     return min(b - a for a, b in zip(means, means[1:])) / 2
 
@@ -76,7 +73,7 @@ def normalize(
 ) -> int:
     """Apply one angle-to-bit normalization function."""
     norm = NormalizationId(norm)
-    cfg = cfg or DeviceConfig()
+    cfg = as_config(cfg)
     if not (isinstance(alpha, Real) and type(alpha) is not bool and 0 <= alpha < math.inf):
         raise ValueError(f"angles are measured from the vertical, must be finite and >= 0, "
                          f"got {alpha!r}")
@@ -120,27 +117,19 @@ class MachineTable:
 
 
 def machine_table(norm: "NormalizationId | str", cfg: DeviceConfig | None = None) -> MachineTable:
-    """Run the machine symbolically: normalize the noiseless transitions. With
+    """Run the machine symbolically: restrict the law gate of the class vector. With
     no ``cfg``, u4 gets a config that resolves the two one-probe angles."""
     norm = NormalizationId(norm)
-    cfg = cfg or DeviceConfig(distinguishable=norm is NormalizationId.U4)
-
+    cfg = as_config(cfg, distinguishable=norm is NormalizationId.U4)
+    delta = norm is NormalizationId.DELTA_U1
     # The class vector (u1's for delta) at each rest angle; DD's, f[0], is a vertical start's.
-    base = NormalizationId.U1 if norm is NormalizationId.DELTA_U1 else norm
+    base = NormalizationId.U1 if delta else norm
     f = [normalize(base, equilibrium_angle(ps, cfg), cfg) for ps in PROBE_STATES]
-    if base is not norm:
-        # Probe 1 held off; probe 2 and the initial angle are the inputs, out = x3 xor
-        # f(0, p2). The vertical start reads x3 = 0, so rows come out in input-encoding order.
-        inputs = [(0, p2, x3) for p2 in (0, 1) for x3 in f[:2]]
-        truth = [x3 ^ f[p2] for _, p2, x3 in inputs]
-        ancilla_line, free_lines = 1, (2, 3)
-    else:
-        inputs = [ps.bits + (f[0],) for ps in PROBE_STATES]
-        truth = f
-        ancilla_line, free_lines = 3, (1, 2)
-    rows = tuple((Word(bits), Word(bits[:2] + (out,))) for bits, out in zip(inputs, truth))
-    connective = classify(BooleanFunction.from_truth(free_lines, tuple(truth)))
-    return MachineTable(norm, rows, ancilla_line, free_lines, connective)
+    # The law gate x3' = x3 xor (f xor f(DD))(x1, x2); delta holds probe 1 off, at x1 = 0.
+    gate = Gate(3, [code ^ f[code >> 1] ^ f[0] for code in range(8)])
+    fixing = Fixing.of(3, {1: 0} if delta else {3: f[0]})
+    return MachineTable(norm, tuple(transfer_table(gate, fixing).items()), fixing.fixed[0][0],
+                        fixing.free, classify(output_function(gate, fixing, 3)))
 
 
 #: Which gate restriction each normalization is expected to reproduce.
@@ -182,9 +171,8 @@ def verify_conclusion(table: MachineTable) -> CheckRecord:
     gate_id, assignments, expected = CONCLUSIONS[norm]
     fixing = Fixing.of(3, assignments)
 
-    gate = build(gate_id)
-    gate_rows = {all_words(3)[code]: gate.table[code] for code in input_codes(gate, fixing)}
-    passed = dict(table.rows) == gate_rows and table.connective is expected
+    passed = (dict(table.rows) == transfer_table(build(gate_id), fixing)
+              and table.connective is expected)
     label = f"conclusion {norm.value:6s} -> {gate_id.value} {fixing.label()} -> {expected.value}"
     return CheckRecord(label, passed, {
         "normalization": norm.value,

@@ -14,6 +14,7 @@ import itertools
 from revlogic.core import (
     MAX_WIDTH,
     Gate,
+    GateError,
     NotBijective,
     WidthMismatch,
     Word,
@@ -60,6 +61,8 @@ def as_word(value):
         return value
     if isinstance(value, str):
         return Word(tuple(int(c) for c in value))
+    if not hasattr(value, "__iter__"):
+        raise GateError(f"not a row: {value!r}")
     return Word(tuple(value))
 
 

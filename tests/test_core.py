@@ -169,6 +169,14 @@ class TestMakeGate:
         with pytest.raises(GateError, match="gate rows must be an iterable"):
             make_gate(3, None)
 
+    @pytest.mark.parametrize("row", [None, 5])
+    def test_a_row_that_is_not_iterable_raises_a_gate_error(self, row):
+        # a TypeError from tuple(row) before
+        with pytest.raises(GateError, match="a row must be a Word, bitstring or bit sequence"):
+            make_gate(2, ["00", row, "10", "11"])
+        with pytest.raises(GateError, match="a row must be"):
+            as_word(row)
+
     def test_gate_entries_of_none_raise_a_gate_error(self):
         # a TypeError from tuple(None) before
         with pytest.raises(GateError, match="gate entries must be a sequence"):

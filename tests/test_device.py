@@ -137,6 +137,22 @@ class TestDeviceConfig:
             DeviceConfig(**{field: value})
 
 
+class TestConfigArgument:
+    @pytest.mark.parametrize("cfg", ["x", 0, "", False, {}, 0.5])
+    def test_refuses_what_is_not_a_device_config(self, cfg):
+        # "x" once raised AttributeError; 0, "" and False once read as the default
+        with pytest.raises(ValueError, match="config must be a DeviceConfig or None"):
+            equilibrium_angle(DA, cfg)
+        with pytest.raises(ValueError, match="config must be a DeviceConfig or None"):
+            run_histogram(DD, 10, cfg)
+
+    def test_none_is_the_default(self):
+        assert device.as_config(None) == DeviceConfig()
+        assert device.as_config(None, distinguishable=True) == DISTINGUISHABLE
+        assert equilibrium_angle(DA, None) == DeviceConfig().alpha1
+        assert run_histogram(DD, 10, None) == run_histogram(DD, 10, DeviceConfig())
+
+
 class TestEquilibriumAngle:
     def test_dd_relaxes_to_vertical(self):
         assert equilibrium_angle(DD) == 0.0

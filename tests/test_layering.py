@@ -78,11 +78,12 @@ def test_a_refused_run_histogram_call_leaves_numpy_unloaded():
         "                     ((DD, 10), {'seed': True}), ((DD, 10), {'bin_width': 0}),\n"
         "                     ((DD, 10), {'bin_width': 'x'}),\n"
         "                     ((DD, 10), {'bin_width': 10**400}),\n"
-        "                     ((DD, 10), {'bin_width': 10**5000})]:\n"
+        "                     ((DD, 10), {'bin_width': 10**5000}),\n"
+        "                     ((DD, 10), {'cfg': 'x'})]:\n"
         "    try:\n"
         "        run_histogram(*args, **kwargs)\n"
         "    except ValueError:\n"
         "        print('refused')\n"
         "print('numpy' in sys.modules)\n"
     )
-    assert run_probe(probe) == ["refused"] * 8 + ["False"]
+    assert run_probe(probe) == ["refused"] * 9 + ["False"]

@@ -109,6 +109,14 @@ def test_unknown_id_rejected():
         coerce_gate_id("peres")
 
 
+@pytest.mark.parametrize("value", [3, None, 1.5, b"cl"])
+def test_an_id_that_is_not_a_string_is_an_unknown_id(value):
+    # an AttributeError from .lower() before
+    for call in (coerce_gate_id, build, lambda v: formula_output(v, Word((0, 0, 0)))):
+        with pytest.raises(UnknownId, match="unknown gate id"):
+            call(value)
+
+
 def test_formula_width_checked():
     with pytest.raises(WidthMismatch):
         formula_output("cl", Word((0, 1)))

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from golden import RESTRICTION_ROWS
-from revlogic.core import Gate, Word
+from revlogic.core import Gate, Word, all_words
 from revlogic.derivation import Connective, Fixing, classify, output_function, restrict
 from revlogic.device import AA, DA, DD, PROBE_STATES, DeviceConfig, equilibrium_angle, sample_many
 from revlogic.library import GateId, build
@@ -85,6 +85,12 @@ def law_gate(f):
     """The self-inverse controlled gate x3' = x3 xor g(x1, x2), g = f xor f(DD), by formula."""
     g = [bit ^ f[0] for bit in f]
     return Gate(3, tuple(code ^ g[code >> 1] for code in range(8)))
+
+
+def restricted_rows(gate, line, bit):
+    """(input, output) word pairs of ``gate`` with input ``line`` held at ``bit``, by filtering
+    every word in encoding order and applying the gate to each."""
+    return tuple((word, gate.apply(word)) for word in all_words(3) if word.bits[line - 1] == bit)
 
 
 def class_vector(table):
@@ -196,6 +202,52 @@ class TestMemoryAgainstBranches:
     def test_every_conclusion_holds_on_any_distinguishable_config(self, cfg):
         for norm in NormalizationId:
             assert verify_conclusion(machine_table(norm, cfg)).passed, norm
+
+
+class TestLawRoute:
+    """Every machine table is its class vector's law gate, restricted: x3 = f(DD) for
+    the angle maps, x1 = 0 with u1's vector (the gate CL) for delta."""
+
+    @staticmethod
+    def assert_law_rows(norm, cfg):
+        cfg_or_default = cfg or DeviceConfig(distinguishable=norm is NormalizationId.U4)
+        base = NormalizationId.U1 if norm is NormalizationId.DELTA_U1 else norm
+        f = tuple(branch_normalize(base, equilibrium_angle(ps, cfg_or_default), cfg_or_default)
+                  for ps in PROBE_STATES)
+        rows = machine_table(norm, cfg).rows
+        if base is norm:
+            assert rows == restricted_rows(law_gate(f), 3, f[0]), (norm, cfg)
+        else:
+            assert rows == restricted_rows(law_gate(f), 1, 0) == restricted_rows(
+                build(GateId.CL), 1, 0), cfg
+
+    @pytest.mark.parametrize("cfg", [None, DISTINGUISHABLE], ids=["default", "distinguishable"])
+    @pytest.mark.parametrize("norm", list(NormalizationId))
+    def test_rows_are_the_law_gate_restricted(self, norm, cfg):
+        self.assert_law_rows(norm, cfg)
+
+    @settings(max_examples=30, deadline=None)
+    @given(distinguishable_configs())
+    def test_rows_are_the_law_gate_restricted_on_any_distinguishable_config(self, cfg):
+        for norm in NormalizationId:
+            self.assert_law_rows(norm, cfg)
+
+
+class TestConfigArgument:
+    @pytest.mark.parametrize("cfg", ["x", 0, "", False, 0.5])
+    def test_refuses_what_is_not_a_device_config(self, cfg):
+        # "x" once raised AttributeError, or was ignored by the band maps;
+        # 0, "" and False once read as the default
+        for call in (lambda: machine_table("u1", cfg), lambda: machine_table("u4", cfg),
+                     lambda: normalize("u1", 0.5, cfg), lambda: normalize("u4", 0.5, cfg),
+                     lambda: u4_tolerance(cfg)):
+            with pytest.raises(ValueError, match="config must be a DeviceConfig or None"):
+                call()
+
+    def test_none_is_the_default(self):
+        assert normalize("u2", 1.12, None) == 1
+        assert u4_tolerance(None) == u4_tolerance(DeviceConfig())
+        assert machine_table("u1", None) == machine_table("u1", DeviceConfig())
 
 
 class TestDeltaNormalize:
@@ -401,12 +453,12 @@ class TestControlledGateLaw:
             pairs.add((classify(bf), bf.essential))
         assert len(pairs) == 16
 
-    def test_every_conclusion_but_delta_is_an_instance(self):
+    def test_every_conclusion_is_an_instance(self):
         for norm, (gate_id, assignments, _) in CONCLUSIONS.items():
-            if norm is NormalizationId.DELTA_U1:
-                continue
-            f = class_vector(machine_table(norm))
-            assert assignments == {3: f[0]}, norm
+            delta = norm is NormalizationId.DELTA_U1
+            # delta reads u1's vector with probe 1 held off, the initial angle's bit on line 3
+            f = class_vector(machine_table(NormalizationId.U1 if delta else norm))
+            assert assignments == ({1: 0} if delta else {3: f[0]}), norm
             assert law_gate(f) == build(gate_id), norm
 
     def test_unresolved_one_probe_angles_read_the_symmetric_eight(self):
