@@ -24,7 +24,7 @@ SEED_ENVVAR = "REVLOGIC_SEED"
 
 def _gate(gate_id: str):
     try:
-        return build(library.coerce_gate_id(gate_id))
+        return build(gate_id)
     except library.UnknownId as exc:
         raise click.UsageError(str(exc)) from None
 
@@ -32,12 +32,8 @@ def _gate(gate_id: str):
 def _format_rows(rows, width: int) -> str:
     head_in = " ".join(f"x{j}" for j in range(1, width + 1))
     head_out = " ".join(f"x{j}'" for j in range(1, width + 1))
-    lines = [f" {head_in}  ->  {head_out}"]
-    for win, wout in rows:
-        cin = "  ".join(str(b) for b in win.bits)
-        cout = "   ".join(str(b) for b in wout.bits)
-        lines.append(f" {cin}   ->  {cout}")
-    return "\n".join(lines)
+    return "\n".join([f" {head_in}  ->  {head_out}"] + [
+        f" {'  '.join(str(win))}   ->  {'   '.join(str(wout))}" for win, wout in rows])
 
 
 @click.group()
@@ -53,9 +49,8 @@ def gates() -> None:
 
 @gates.command("list")
 def gates_list() -> None:
-    for gate_id in library.all_gate_ids():
-        gate = build(gate_id)
-        click.echo(f"{gate_id.value:10s} width {gate.width}")
+    click.echo("\n".join(f"{gate_id.value:10s} width {build(gate_id).width}"
+                          for gate_id in library.all_gate_ids()))
 
 
 @gates.command("show")
@@ -67,10 +62,9 @@ def gates_show(gate_id: str, as_json: bool) -> None:
     if as_json:
         click.echo(json.dumps(gate.to_json(), indent=2))
         return
-    rows = [(win, gate.apply(win)) for win in gate.words()]
-    click.echo(f"gate {gate.name} ({gate.width} lines)")
-    click.echo(_format_rows(rows, gate.width))
-    click.echo(gate.dumps())
+    rows = zip(gate.words(), gate.table)
+    click.echo(f"gate {gate.name} ({gate.width} lines)\n{_format_rows(rows, gate.width)}\n"
+               f"{gate.dumps()}")
 
 
 @main.command()
@@ -95,11 +89,10 @@ def derive(gate_id: str, as_json: bool) -> None:
             "names": sorted(name.value for name in result.names),
         }))
         return
-    click.echo(f"derived connectives of {gate.name}:")
-    for entry in result.entries:
-        click.echo(f"  fix {entry.fixing.label():12s} line {entry.line}  ->  "
-                   f"{entry.connective.value}")
-    click.echo("summary: " + ", ".join(sorted(name.value for name in result.names)))
+    click.echo(f"derived connectives of {gate.name}:\n" + "".join(
+        f"  fix {entry.fixing.label():12s} line {entry.line}  ->  {entry.connective.value}\n"
+        for entry in result.entries) + "summary: "
+        + ", ".join(sorted(name.value for name in result.names)))
 
 
 @main.command()
@@ -172,15 +165,14 @@ def machine_cmd(ctx, norm_name, run_all, distinguishable, as_json) -> None:
     records = [machine.verify_conclusion(table) for table in tables]
     if as_json:
         click.echo(json.dumps([{**r.detail, "passed": r.passed} for r in records]))
-    else:
-        for norm, table, r in zip(norms, tables, records):
-            click.echo(f"normalization {norm.value} (ancilla line x{table.ancilla_line}, inputs "
-                       + ", ".join(f"x{j}" for j in table.free_lines) + ")")
-            click.echo(_format_rows(table.rows, 3))
-            click.echo(f"connective: {table.connective.value}")
-            click.echo(f"{'PASS' if r.passed else 'FAIL'}: matches {r.detail['gate']} with "
-                       f"{r.detail['fixing']} -> {r.detail['expected']}")
-            click.echo("")
+    else:  # each normalization's block ends in an empty line
+        click.echo("".join(
+            f"normalization {norm.value} (ancilla line x{table.ancilla_line}, inputs "
+            + ", ".join(f"x{j}" for j in table.free_lines) + ")\n"
+            f"{_format_rows(table.rows, 3)}\nconnective: {table.connective.value}\n"
+            f"{'PASS' if r.passed else 'FAIL'}: matches {r.detail['gate']} with "
+            f"{r.detail['fixing']} -> {r.detail['expected']}\n\n"
+            for norm, table, r in zip(norms, tables, records)), nl=False)
     if not all(r.passed for r in records):
         ctx.exit(1)
 
@@ -233,11 +225,12 @@ def verify_all(ctx, as_json) -> None:
     if as_json:
         click.echo(json.dumps([{"check": r.label, "passed": r.passed} for r in records]))
     else:
+        lines = []
         for r in records:
-            click.echo(f"{'PASS' if r.passed else 'FAIL'}  {r.label}")
+            lines.append(f"{'PASS' if r.passed else 'FAIL'}  {r.label}")
             if not r.passed:
-                for key, value in r.detail.items():
-                    click.echo(f"      {key}: {json.dumps(value)}")
+                lines += [f"      {key}: {json.dumps(value)}" for key, value in r.detail.items()]
+        click.echo("\n".join(lines))
     if not all(r.passed for r in records):
         ctx.exit(1)
 

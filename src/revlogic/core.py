@@ -85,7 +85,7 @@ class Word:
         return cls(tuple(int(c) for c in text))
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return format(self.index, f"0{len(self.bits)}b")
 
 
 def _check_width(width: object, kind: str) -> None:

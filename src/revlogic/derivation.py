@@ -279,12 +279,17 @@ def derived_connectives(gate: Gate) -> DerivedConnectives:
     entries: list[Derivation] = []
     for fixing, cube, base, free, relay in sweep:
         found = []
-        for table, diff in tables:
-            essential = tuple(j for j in free if diff[j] & cube)
+        for table, diff in tables:  # plain loops: no helper call or generator per pair
+            essential, t = (), table >> base  # bit o of t: the output at code base | o
+            for j in free:
+                if diff[j] & cube:
+                    essential += (j,)
             name = Connective.RAW
-            if len(essential) <= 2:  # read at most 4 codes
-                codes = _subset_codes(base, [1 << width - j for j in essential])
-                name = _NAMES[tuple(table >> code & 1 for code in codes)]
+            if len(essential) <= 2:  # the output at base | each subset of the weights a, b
+                a = 1 << width - essential[0] if essential else 0
+                b = 1 << width - essential[-1] if essential else 0  # a = b for one line
+                truth = (t & 1, t >> b & 1, t >> a & 1, t >> a + b & 1)
+                name = _NAMES[truth[:1 << len(essential)]]
             found.append((name, essential))
         for line, (name, essential) in enumerate(found, 1):
             if name is Connective.RAW or found[line - 1] == relay[line - 1]:

@@ -119,10 +119,13 @@ class DeviceConfig:
         return 0.5 * (self.alpha_hat1 + self.alpha_tilde1)
 
 
+_DEFAULTS = (DeviceConfig(), DeviceConfig(distinguishable=True))  # shared, by distinguishable
+
+
 def as_config(cfg: DeviceConfig | None, distinguishable: bool = False) -> DeviceConfig:
-    """``cfg`` itself, or for None the default config; anything else is refused."""
+    """``cfg`` itself, or for None the shared default config; anything else is refused."""
     if cfg is None:
-        return DeviceConfig(distinguishable=distinguishable)
+        return _DEFAULTS[bool(distinguishable)]
     if not isinstance(cfg, DeviceConfig):
         raise ValueError(f"config must be a DeviceConfig or None, got {cfg!r}")
     return cfg
@@ -137,22 +140,21 @@ def equilibrium_angle(ps: ProbeState, cfg: DeviceConfig | None = None) -> float:
     if not isinstance(ps, ProbeState):
         raise ValueError(f"probe state must be a ProbeState, got {ps!r}")
     cfg = as_config(cfg)
-    if ps == DD:
-        return 0.0
-    if ps == AA:
-        return cfg.alpha2
+    probe1, probe2 = ps.bits
+    if probe1 == probe2:  # DD rests at the vertical, AA past the boundary
+        return cfg.alpha2 if probe1 else 0.0
     if not cfg.distinguishable:
         return cfg.alpha1
-    return cfg.alpha_hat1 if ps == DA else cfg.alpha_tilde1
+    return cfg.alpha_tilde1 if probe1 else cfg.alpha_hat1
 
 
 def sample_many(
     ps: ProbeState,
     n: int,
-    cfg: DeviceConfig,
+    cfg: DeviceConfig | None,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw ``n`` output angles for one probe input.
+    """Draw ``n`` output angles for one probe input (``cfg`` None: the default config).
 
     Values come from Normal(equilibrium, sigma), resampled (never clamped)
     until they land in [max(0, mean - 6 sigma), mean + 6 sigma]; clamping
@@ -163,6 +165,7 @@ def sample_many(
     across calls continues from the same point as under a sampler drawing
     (and, at rest angle 0, reflecting) one value at a time.
     """
+    cfg = as_config(cfg)
     mean = equilibrium_angle(ps, cfg)
     lo = max(0.0, mean - SUPPORT_SIGMAS * cfg.sigma)
     hi = mean + SUPPORT_SIGMAS * cfg.sigma

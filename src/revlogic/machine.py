@@ -26,6 +26,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from numbers import Real
 
 from .core import Gate, Word
@@ -50,8 +51,15 @@ class NormalizationId(str, Enum):
     DELTA_U1 = "delta"
 
 
+def _read_band(edges: tuple[float, ...], bits: tuple[int, ...], alpha: float) -> int:
+    return bits[bisect_left(edges, alpha)]  # alpha <= edge stays in the band
+
+
 #: The memory: bands of u1, u2 and u3 (inclusive upper edges, bits), u4's bit at each rest angle.
+#: Each band map and its bar (the bits flipped) gets one reader, built once.
 _BANDS = {"u1": ((ZERO_TOL,), (0, 1)), "u2": ((1.0,), (0, 1)), "u3": ((ZERO_TOL, 1.0), (0, 1, 0))}
+_READERS = {NormalizationId(base + bar): partial(_read_band, edges, tuple(b ^ flip for b in bits))
+            for base, (edges, bits) in _BANDS.items() for bar, flip in (("", 0), ("bar", 1))}
 _U4_CLASSES = (1, 1, 0, 1)
 
 
@@ -87,8 +95,7 @@ def normalize(
             if abs(alpha - equilibrium_angle(ps, cfg)) <= tol:
                 return bit
         raise U4Unclassifiable(f"angle {alpha} is not near any configured rest angle")
-    edges, bits = _BANDS[norm.value.removesuffix("bar")]  # a bar flips its base's bits
-    return bits[bisect_left(edges, alpha)] ^ norm.value.endswith("bar")
+    return _READERS[norm](alpha)
 
 
 def delta_normalize(alpha_i: float, alpha_o: float) -> int:
@@ -124,9 +131,10 @@ def machine_table(norm: "NormalizationId | str", cfg: DeviceConfig | None = None
     delta = norm is NormalizationId.DELTA_U1
     # The class vector (u1's for delta) at each rest angle; DD's, f[0], is a vertical start's.
     base = NormalizationId.U1 if delta else norm
-    f = [normalize(base, equilibrium_angle(ps, cfg), cfg) for ps in PROBE_STATES]
-    # The law gate x3' = x3 xor (f xor f(DD))(x1, x2); delta holds probe 1 off, at x1 = 0.
-    gate = Gate(3, [code ^ f[code >> 1] ^ f[0] for code in range(8)])
+    read = _READERS.get(base) or partial(normalize, base, cfg=cfg)  # u4: within a tolerance
+    f = [read(equilibrium_angle(ps, cfg)) for ps in PROBE_STATES]
+    # The law gate x3' = x3 xor (f xor f(DD))(x1, x2), a bijection; delta holds x1 = 0.
+    gate = Gate._of(3, tuple(code ^ f[code >> 1] ^ f[0] for code in range(8)), "")
     fixing = Fixing.of(3, {1: 0} if delta else {3: f[0]})
     return MachineTable(norm, tuple(transfer_table(gate, fixing).items()), fixing.fixed[0][0],
                         fixing.free, classify(output_function(gate, fixing, 3)))
@@ -191,11 +199,10 @@ def verify_all_conclusions() -> tuple[CheckRecord, ...]:
 def coherence_check() -> CheckRecord:
     """With the tip initially vertical, u1 of the output angle and the delta
     form must agree on all four probe inputs of the default device."""
-    rows = []
+    u1, rows = _READERS[NormalizationId.U1], []
     for ps in PROBE_STATES:
-        alpha_o = equilibrium_angle(ps)
-        rows.append({"probes": str(ps), "u1_out": normalize(NormalizationId.U1, alpha_o),
-                     "delta": delta_normalize(0.0, alpha_o)})
+        u1_out = u1(equilibrium_angle(ps))
+        rows.append({"probes": str(ps), "u1_out": u1_out, "delta": abs(u1(0.0) - u1_out)})
     return CheckRecord("coherence u1(out) = |u1(in) - u1(out)| at vertical start",
                        all(r["u1_out"] == r["delta"] for r in rows), {"rows": rows})
 

@@ -35,6 +35,12 @@ class TestWord:
         assert Word((1, 0, 0)).index == 4
         assert from_index(3, 6) == Word((1, 1, 0))
 
+    def test_str_is_the_bits_in_line_order(self):
+        # str formats the index once; the bit-by-bit join is the reference
+        for width in range(1, 11):
+            for word in all_words(width):
+                assert str(word) == "".join(map(str, word.bits))
+
     def test_round_trip_exhaustive_small_widths(self):
         for width in range(1, 6):
             for i in range(1 << width):

@@ -152,6 +152,27 @@ class TestConfigArgument:
         assert equilibrium_angle(DA, None) == DeviceConfig().alpha1
         assert run_histogram(DD, 10, None) == run_histogram(DD, 10, DeviceConfig())
 
+    def test_none_is_one_shared_frozen_default_per_flag(self):
+        for flag, expected in ((False, DeviceConfig()), (True, DISTINGUISHABLE)):
+            shared = device.as_config(None, distinguishable=flag)
+            assert shared == expected
+            assert device.as_config(None, distinguishable=flag) is shared
+            with pytest.raises(AttributeError):  # frozen: no caller can change it for the next
+                shared.sigma = 1.0
+        assert device.as_config(None) is device.as_config(None, distinguishable=False)
+
+    @pytest.mark.parametrize("ps", PROBE_STATES, ids=str)
+    def test_sample_many_takes_none_as_the_default_config(self, ps):
+        # once AttributeError: 'NoneType' object has no attribute 'sigma'
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        values = sample_many(ps, 50, None, rng)
+        assert values.tobytes() == sample_many(ps, 50, DeviceConfig(), ref).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_sample_many_refuses_what_is_not_a_device_config(self):
+        with pytest.raises(ValueError, match="config must be a DeviceConfig or None"):
+            sample_many(DD, 10, "x", np.random.default_rng(0))
+
 
 class TestEquilibriumAngle:
     def test_dd_relaxes_to_vertical(self):
@@ -167,6 +188,16 @@ class TestEquilibriumAngle:
     def test_one_probe_angles_collapse_by_default(self):
         cfg = DeviceConfig()
         assert equilibrium_angle(DA, cfg) == equilibrium_angle(AD, cfg) == cfg.alpha1
+
+    @pytest.mark.parametrize("cfg", [DeviceConfig(), DISTINGUISHABLE], ids=["default", "resolved"])
+    def test_reads_the_bits_as_the_named_states(self, cfg):
+        # the dispatch reads ps.bits; a state built from bits is the named state
+        named = {DD: 0.0, AA: cfg.alpha2,
+                 DA: cfg.alpha_hat1 if cfg.distinguishable else cfg.alpha1,
+                 AD: cfg.alpha_tilde1 if cfg.distinguishable else cfg.alpha1}
+        for ps, angle in named.items():
+            assert equilibrium_angle(ProbeState(ps.bits), cfg) == angle
+            assert equilibrium_angle(ProbeState.from_bits("".join(map(str, ps.bits))), cfg) == angle
 
     @pytest.mark.parametrize("ps", ["DD", None, (0, 0), 0])
     def test_refuses_what_is_not_a_probe_state(self, ps):

@@ -117,6 +117,31 @@ def test_an_id_that_is_not_a_string_is_an_unknown_id(value):
             call(value)
 
 
+@pytest.mark.parametrize("value", [["cl"], {"cl": 1}, {"cl"}])
+def test_an_unhashable_id_is_an_unknown_id(value):
+    # once TypeError: unhashable type, from build's cache before the id was read
+    with pytest.raises(UnknownId) as refused:
+        build(value)
+    with pytest.raises(UnknownId) as coerced:
+        coerce_gate_id(value)
+    assert str(refused.value) == str(coerced.value)
+
+
+def test_build_keeps_one_gate_per_id():
+    for gate_id in all_gate_ids():
+        gate = build(gate_id)
+        assert build(gate_id.value) is gate
+        assert build(gate_id.value.upper()) is gate
+
+
+def test_build_cache_clear_builds_again():
+    before = build("cl")
+    build.cache_clear()
+    after = build("cl")
+    assert after is not before and after == before and after.name == "cl"
+    assert build(GateId.CL) is after
+
+
 def test_formula_width_checked():
     with pytest.raises(WidthMismatch):
         formula_output("cl", Word((0, 1)))

@@ -14,9 +14,11 @@ from revlogic.core import Gate, Word, all_words
 from revlogic.derivation import Connective, Fixing, classify, output_function, restrict
 from revlogic.device import AA, DA, DD, PROBE_STATES, DeviceConfig, equilibrium_angle, sample_many
 from revlogic.library import GateId, build
+from revlogic.energy import transfer_table
 from revlogic.machine import (
     CONCLUSIONS,
     ZERO_TOL,
+    MachineTable,
     NormalizationId,
     U4Unclassifiable,
     coherence_check,
@@ -231,6 +233,52 @@ class TestLawRoute:
     def test_rows_are_the_law_gate_restricted_on_any_distinguishable_config(self, cfg):
         for norm in NormalizationId:
             self.assert_law_rows(norm, cfg)
+
+
+def public_route_table(norm, cfg=None):
+    """The machine read through public ``normalize`` calls, each checking id, config and
+    angle, and a checked ``Gate``: the route the band readers replace."""
+    norm = NormalizationId(norm)
+    cfg = cfg if cfg is not None else DeviceConfig(distinguishable=norm is NormalizationId.U4)
+    delta = norm is NormalizationId.DELTA_U1
+    base = NormalizationId.U1 if delta else norm
+    f = [normalize(base, equilibrium_angle(ps, cfg), cfg) for ps in PROBE_STATES]
+    gate = Gate(3, [code ^ f[code >> 1] ^ f[0] for code in range(8)])
+    fixing = Fixing.of(3, {1: 0} if delta else {3: f[0]})
+    return MachineTable(norm, tuple(transfer_table(gate, fixing).items()), fixing.fixed[0][0],
+                        fixing.free, classify(output_function(gate, fixing, 3)))
+
+
+#: The default (None and explicit), a resolved config, and two whose one-probe angle sits
+#: at ZERO_TOL: the edge of u1 and u3, where an angle still reads as vertical.
+ROUTE_CONFIGS = {
+    "none": None,
+    "default": DeviceConfig(),
+    "distinguishable": DISTINGUISHABLE,
+    "one_probe_at_zero_tol": DeviceConfig(alpha_hat1=ZERO_TOL, alpha_tilde1=ZERO_TOL),
+    "hat_at_zero_tol": DeviceConfig(alpha_hat1=ZERO_TOL, distinguishable=True),
+}
+
+
+class TestBandReaders:
+    @pytest.mark.parametrize("cfg", ROUTE_CONFIGS.values(), ids=ROUTE_CONFIGS)
+    @pytest.mark.parametrize("norm", list(NormalizationId))
+    def test_machine_table_is_the_public_route(self, norm, cfg):
+        assert outcome(machine_table, norm, cfg) == outcome(public_route_table, norm, cfg)
+
+    def test_the_zero_tol_configs_read_their_one_probe_angle_as_vertical(self):
+        # the edge cases differ from the default: u1 reads the one-probe rows as 0
+        for name in ("one_probe_at_zero_tol", "hat_at_zero_tol"):
+            cfg = ROUTE_CONFIGS[name]
+            assert normalize("u1", equilibrium_angle(DA, cfg), cfg) == 0
+            assert machine_table("u1", cfg) != machine_table("u1")
+        assert outcome(machine_table, "u4", DeviceConfig()) == (
+            U4Unclassifiable, "u4 needs a config that resolves the two one-probe angles")
+
+    def test_coherence_check_is_the_public_route(self):
+        rows = [{"probes": str(ps), "u1_out": normalize("u1", equilibrium_angle(ps)),
+                 "delta": delta_normalize(0.0, equilibrium_angle(ps))} for ps in PROBE_STATES]
+        assert coherence_check().detail == {"rows": rows}
 
 
 class TestConfigArgument:
