@@ -82,6 +82,8 @@ class Word:
     @classmethod
     def from_string(cls, text: str) -> "Word":
         """Parse a bitstring like "011"; character 0 is line x1."""
+        if not isinstance(text, str):
+            raise GateError(f"a bitstring must be a str, got {text!r}")
         return cls(tuple(int(c) for c in text))
 
     def __str__(self) -> str:
@@ -171,6 +173,8 @@ class Gate:
 
     def apply(self, word: Word) -> Word:
         """Map one input word through the gate."""
+        if type(word) is not Word:
+            raise GateError(f"apply takes a Word, got {word!r}")
         if word.width != self.width:
             raise WidthMismatch(f"word width {word.width} != gate width {self.width}")
         return self.table[word.index]
@@ -198,9 +202,9 @@ class Gate:
     def flags(self) -> GateFlags:
         """Structural predicates, each decided by exhaustive enumeration."""
         p = self.perm
-        # the first row with p[p[i]] != i decides; no identity tuple is built or kept
+        # the first row with p[p[i]] != i, or whose weight moves, decides; no tuple is built
         return GateFlags(all(map(operator.eq, map(p.__getitem__, p), range(len(p)))),
-                         tuple(map(int.bit_count, p)) == _hamming_weights(self.width))
+                         all(map(operator.eq, map(int.bit_count, p), _hamming_weights(self.width))))
 
     def to_json(self) -> dict:
         """JSON form: bitstring position 0 is line x1; round-trips bit-exactly."""
@@ -228,7 +232,22 @@ class Gate:
 
     @classmethod
     def loads(cls, text: str) -> "Gate":
-        return cls.from_json(json.loads(text))
+        """``from_json(json.loads(text))``; the layout ``dumps`` writes makes no string per row."""
+        head, _, rows = text.partition(', "table": ["') if type(text) is str else ("", "", "")
+        try:  # that layout's head; a split below the top level of the object does not decode
+            data = json.loads(head + "}") if rows.endswith('"]}') and "_" not in rows else None
+        except (ValueError, RecursionError):
+            data = None
+        if (type(data) is dict and type(name := data.get("name", "")) is str
+                and type(width := data.get("width")) is int and 1 <= width <= MAX_WIDTH
+                and (gate := _parse_rows(rows[:-3].replace('", "', "_" + "0" * (16 - width)),
+                                         width, name))):
+            return gate
+        try:
+            data = json.loads(text)
+        except (TypeError, ValueError, RecursionError) as error:  # not text, not JSON, too deep
+            raise GateError(f"gate JSON must be JSON text: {error}") from None
+        return cls.from_json(data)
 
 
 @cache
@@ -243,6 +262,20 @@ def _bitstrings(width: int) -> tuple[str, ...]:
     return tuple(map("".join, product("01", repeat=width)))
 
 
+def _parse_rows(text: str, width: int, name: str) -> Gate | None:
+    """The gate whose ``1 << width`` rows of ``width`` ASCII 0s and 1s ``text`` joins with "_"
+    and the 0s that pad a row to 16 bits, or None. int() reads such text as one base-2 literal
+    of uint16s; it also reads spaces, signs and non-ASCII digits, hence the checks first."""
+    n = 1 << width
+    if (len(text) != 17 * n - 17 + width or not text.isascii() or text[width::17] != "_" * (n - 1)
+            or len(text.encode().translate(None, b"01")) != n - 1):
+        return None
+    perm = struct.unpack(f">{n}H", int(text, 2).to_bytes(2 * n, "big"))
+    if len(set(perm)) != n:
+        raise NotBijective("output table repeats a word")
+    return Gate._of(width, perm, name)
+
+
 def make_gate(width: int, outputs: Iterable["Word | str | Sequence[int]"], name: str = "") -> Gate:
     """Build a gate from its output rows (words, bitstrings or bit sequences) in encoding order."""
     if type(width) is not int:  # an int width out of range lets a bad row speak first
@@ -250,16 +283,13 @@ def make_gate(width: int, outputs: Iterable["Word | str | Sequence[int]"], name:
     if not hasattr(outputs, "__iter__"):
         raise GateError(f"gate rows must be an iterable, got {outputs!r}")
     rows = list(outputs)
-    # Rows of ASCII 0s and 1s (int() also reads "_", spaces and non-ASCII digits) are ints in
-    # range: one base-2 parse of all rows, padded to 16 bits each, read back as uint16s.
-    if (1 <= width <= MAX_WIDTH and len(rows) == 1 << width and set(map(type, rows)) == {str}
-            and set(map(len, rows)) == {width}
-            and (text := ("0" * (16 - width)).join(rows)).isascii()
-            and not text.encode().translate(None, b"01")):
-        perm = struct.unpack(f">{1 << width}H", int(text, 2).to_bytes(2 << width, "big"))
-        if len(set(perm)) != len(perm):
-            raise NotBijective("output table repeats a word")
-        return Gate._of(width, perm, name)
+    if 1 <= width <= MAX_WIDTH and len(rows) == 1 << width:
+        try:
+            text = ("_" + "0" * (16 - width)).join(rows)
+        except TypeError:  # a row that is not a str: the general path reads each row
+            text = ""
+        if gate := _parse_rows(text, width, name):
+            return gate
     words = [as_word(out) for out in rows]
     if 1 <= width <= MAX_WIDTH and len(words) == 1 << width:
         for out in words:

@@ -172,9 +172,10 @@ def info_loss(table: Mapping[Word, Hashable], dist: Distribution) -> EnergyRepor
 
 def landauer_energy(bits: float, temperature_K: float) -> float:
     """Minimum dissipation for erasing ``bits`` at ``temperature_K`` kelvin."""
-    if not (isinstance(bits, Real) and 0 <= bits < math.inf):
+    if isinstance(bits, bool) or not (isinstance(bits, Real) and 0 <= bits < math.inf):
         raise ValueError(f"erased bits must be finite and >= 0, got {bits}")
-    if not (isinstance(temperature_K, Real) and 0 < temperature_K < math.inf):
+    if isinstance(temperature_K, bool) or not (isinstance(temperature_K, Real)
+                                               and 0 < temperature_K < math.inf):
         raise NonphysicalTemperature(f"temperature must be finite and > 0 K, got {temperature_K}")
     return bits * BOLTZMANN_JK * temperature_K * math.log(2)
 

@@ -202,6 +202,18 @@ class TestApply:
         with pytest.raises(WidthMismatch):
             build("cl").apply(Word((0, 1)))
 
+    @pytest.mark.parametrize("word", [None, "010", (0, 1, 0), 2])
+    def test_a_word_that_is_not_a_word_raises_a_gate_error(self, word):
+        # None and "010" raised AttributeError before
+        with pytest.raises(GateError, match="apply takes a Word"):
+            build("cl").apply(word)
+
+    @pytest.mark.parametrize("text", [None, 5, (0, 1), b"01"])
+    def test_from_string_refuses_what_is_not_a_str(self, text):
+        # None raised TypeError before, and (0, 1) built a word
+        with pytest.raises(GateError, match="a bitstring must be a str"):
+            Word.from_string(text)
+
 
 class TestCompose:
     def test_cl_self_composition_is_identity(self):
@@ -345,6 +357,29 @@ class TestJson:
     def test_a_missing_or_string_name_still_loads(self):
         assert Gate.loads('{"width": 1, "table": ["1", "0"]}').name == ""
         assert Gate.loads('{"width": 1, "table": ["1", "0"], "name": "not"}').name == "not"
+
+    @pytest.mark.parametrize("text", [None, 5, ["{}"]])
+    def test_loads_refuses_what_is_not_text(self, text):
+        # a bare TypeError from json.loads before
+        with pytest.raises(GateError, match="gate JSON must be JSON text: the JSON object must be"):
+            Gate.loads(text)
+
+    @pytest.mark.parametrize("text", ["[", "", '{"width": 1, "table": ["1", "0"]', b"\xff"])
+    def test_loads_refuses_text_that_is_not_json(self, text):
+        # the decoder's JSONDecodeError (or UnicodeDecodeError) escaped before
+        with pytest.raises(GateError, match="gate JSON must be JSON text: ") as info:
+            Gate.loads(text)
+        assert type(info.value) is GateError
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"name": ' + "[" * 100_000 + "]" * 100_000
+                                      + ', "width": 1, "table": ["0", "1"]}'])
+    def test_loads_refuses_json_nested_too_deep_to_decode(self, text):
+        # the decoder's RecursionError escaped before, from the head of the dumps layout too
+        with pytest.raises(GateError, match="gate JSON must be JSON text: maximum recursion"):
+            Gate.loads(text)
+
+    def test_loads_still_reads_bytes(self):
+        assert Gate.loads(build("cl").dumps().encode()) == build("cl")
 
 
 @settings(max_examples=40)

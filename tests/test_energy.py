@@ -215,6 +215,18 @@ class TestLandauerEnergy:
         with pytest.raises(ValueError):
             landauer_energy(-0.5, 300.0)
 
+    @pytest.mark.parametrize("bits", [True, False])
+    def test_refuses_a_bool_bit_count(self, bits):
+        # True once read as one erased bit
+        with pytest.raises(ValueError, match="erased bits must be finite and >= 0"):
+            landauer_energy(bits, 300.0)
+
+    @pytest.mark.parametrize("temperature", [True, False])
+    def test_refuses_a_bool_temperature(self, temperature):
+        # True once read as 1 K
+        with pytest.raises(NonphysicalTemperature, match="temperature must be finite and > 0 K"):
+            landauer_energy(1, temperature)
+
     @pytest.mark.parametrize("bits", [math.inf, -math.inf, math.nan])
     def test_non_finite_bits(self, bits):
         with pytest.raises(ValueError, match="erased bits must be finite and >= 0"):

@@ -22,6 +22,7 @@ import seed_core as ref
 from revlogic.core import (
     MAX_WIDTH,
     Gate,
+    GateError,
     GateFlags,
     NotBijective,
     WidthMismatch,
@@ -265,6 +266,7 @@ ROW_CASES = [
     ("sign", 2, ["00", "+1", "10", "11"], ValueError),
     ("row-too-long", 2, ["00", "01", "10", "111"], WidthMismatch),
     ("row-too-short", 2, ["00", "01", "10", "1"], WidthMismatch),
+    ("long-row-then-short-row", 2, ["001", "0", "10", "11"], WidthMismatch),
     ("empty-row", 2, ["00", "01", "10", ""], WrongLength),
     ("row-over-max-width", 2, ["00", "01", "10", "0" * 17], WrongLength),
     ("repeated-row", 2, ["00", "00", "11", "10"], NotBijective),
@@ -469,6 +471,7 @@ ROW_MUTATIONS = {
     "0b-prefix": lambda row: "0b" + row,
     "0b-over-top-bits": lambda row: "0b" + row[2:],
     "arabic-indic-digits": lambda row: row.translate(str.maketrans("01", "٠١")),
+    "lone-surrogate": lambda row: row[:-1] + "\ud800",
     "fullwidth-digit": lambda row: row[:-1] + "０１"[int(row[-1])],
     "letter": lambda row: row[:-1] + "a",
     "dropped-char": lambda row: row[:-1],
@@ -542,6 +545,163 @@ def test_dumps_is_json_dumps_of_to_json_at_width_16(kind):
     perm = permutation(kind, 16, 16)
     for name in NAMES:
         assert_dumps_is_json_dumps(Gate(16, perm, name))
+
+
+# ``Gate.loads`` reads text in the layout ``dumps`` writes without a string per row;
+# every other text goes through ``Gate.from_json(json.loads(text))``, the oracle here.
+
+
+def assert_both_layouts_load(gate):
+    """``dumps`` text (read in place) and indented JSON (the general route) load to ``gate``."""
+    for text in (gate.dumps(), json.dumps(gate.to_json(), indent=2)):
+        loaded = Gate.loads(text)
+        assert loaded == gate and loaded.name == gate.name
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 13), specs, st.sampled_from(NAMES) | st.text())
+def test_loads_reads_both_layouts(width, spec, name):
+    assert_both_layouts_load(Gate(width, permutation(spec[0], width, spec[1]), name))
+
+
+# Shrinking a failing 2**16-row example would take minutes, so these widths only generate.
+@settings(max_examples=4, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(st.integers(14, 16), specs, st.sampled_from(NAMES))
+def test_loads_reads_both_layouts_at_widths_14_to_16(width, spec, name):
+    assert_both_layouts_load(Gate(width, permutation(spec[0], width, spec[1]), name))
+
+
+def general_route(text):
+    """``Gate.from_json(json.loads(text))``: a gate, or the class and message of its error
+    (text that is not JSON: the ``GateError`` that names the decoder's message)."""
+    try:
+        data = json.loads(text)
+    except ValueError as error:
+        return GateError, f"gate JSON must be JSON text: {error}"
+    try:
+        return Gate.from_json(data)
+    except (TypeError, ValueError) as error:
+        return type(error), str(error)
+
+
+def assert_loads_matches_general_route(text):
+    want = general_route(text)
+    if isinstance(want, Gate):
+        got = Gate.loads(text)
+        assert got == want and got.name == want.name
+    else:
+        with pytest.raises(want[0]) as info:
+            Gate.loads(text)
+        assert (type(info.value), str(info.value)) == want
+
+
+def row_sites(text):
+    """The positions of the table's 0s and 1s in ``text``."""
+    start = text.index('"table": [')
+    return [at for at in range(start, len(text)) if text[at] in "01"]
+
+
+def separator_sites(text):
+    """The positions of the table's '", "' separators in ``text``."""
+    start = text.index('"table": [')
+    return [at for at in range(start, len(text)) if text.startswith('", "', at)]
+
+
+def at_a_row_site(change):
+    """A mutation that applies ``change(text, at)`` at one drawn 0 or 1 of the table."""
+    return lambda gate, text, draw: change(text, draw(st.sampled_from(row_sites(text))))
+
+
+def at_a_separator(change):
+    """A mutation that applies ``change(gate, text, at)`` at one drawn separator of the table."""
+    return lambda gate, text, draw: change(gate, text, draw(st.sampled_from(separator_sites(text))))
+
+
+def json_value(text, key):
+    """The JSON text of ``key``'s value in ``text`` (for "name" and "width" only)."""
+    head = text[text.index(f'"{key}": ') + len(key) + 4:]
+    return head[:head.index(', "')]
+
+
+#: Ways to spoil (or merely respell) one site of a ``dumps`` text.
+TEXT_MUTATIONS = {
+    "flip": at_a_row_site(lambda t, at: t[:at] + "10"[int(t[at])] + t[at + 1:]),
+    **{f"{label}-for-a-bit": at_a_row_site(lambda t, at, c=char: t[:at] + c + t[at + 1:])
+       for label, char in [("two", "2"), ("space", " "), ("quote", '"'), ("comma", ","),
+                           ("underscore", "_"), ("newline", "\\n"), ("escaped-zero", "\\u0030"),
+                           ("arabic-indic-one", "\u0661"), ("lone-surrogate", "\ud800")]},
+    **{f"{label}-before-a-bit": at_a_row_site(lambda t, at, c=char: t[:at] + c + t[at:])
+       for label, char in [("space", " "), ("quote", '"'), ("comma", ","), ("underscore", "_"),
+                           ("separator", '", "')]},
+    "dropped-bit": at_a_row_site(lambda t, at: t[:at] + t[at + 1:]),
+    # one row a bit short and the next a bit long: the length of the whole table holds
+    "separator-moved-left": at_a_separator(lambda g, t, at: t[:at - 1] + '", "' + t[at - 1]
+                                           + t[at + 4:]),
+    # one row of two rows' bits, written as the parser's joiner would join them
+    "joiner-for-a-separator": at_a_separator(lambda g, t, at: t[:at] + "_" + "0" * (16 - g.width)
+                                             + t[at + 4:]),
+    "dropped-char": lambda gate, t, draw: (lambda at: t[:at] + t[at + 1:])(
+        draw(st.integers(0, len(t) - 1))),
+    "extra-row": lambda gate, t, draw: t[:-2] + ', "' + "0" * gate.width + '"]}',
+    "duplicate-table-first": lambda gate, t, draw: '{"table": ["1"], ' + t[1:],
+    "duplicate-table-last": lambda gate, t, draw: t[:-1] + ', "table": ["0", "1"]}',
+    "duplicate-width": lambda gate, t, draw: '{"width": 1, ' + t[1:],
+    "extra-key-first": lambda gate, t, draw: '{"extra": [1, "2"], ' + t[1:],
+    "extra-key-last": lambda gate, t, draw: t[:-1] + ', "extra": null}',
+    "no-name": lambda gate, t, draw: "{" + t[t.index('"width"'):],
+    **{f"width-{label}": lambda gate, t, draw, v=value: t.replace(
+        f'"width": {gate.width}', f'"width": {v(gate.width)}', 1)
+       for label, value in [("true", lambda w: "true"), ("float", lambda w: f"{w}.0"),
+                            ("plus-one", lambda w: w + 1), ("zero", lambda w: 0),
+                            ("string", lambda w: f'"{w}"')]},
+    **{f"name-{label}": lambda gate, t, draw, v=value: t.replace(
+        f'"name": {json_value(t, "name")}', f'"name": {v}', 1)
+       for label, value in [("int", "5"), ("null", "null"), ("list", '["g"]'),
+                            ("table-lookalike", json.dumps(', "table": ["'))]},
+    "compact": lambda gate, t, draw: json.dumps(json.loads(t), separators=(",", ":")),
+    "trailing-newline": lambda gate, t, draw: t + "\n",
+    "leading-space": lambda gate, t, draw: " " + t,
+    "unclosed": lambda gate, t, draw: t[:-1],
+    "closers-swapped": lambda gate, t, draw: t[:-2] + "}]",
+    "trailing-data": lambda gate, t, draw: t + "}",
+    "bytes": lambda gate, t, draw: t.encode(),
+}
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 4), specs, st.sampled_from(NAMES), st.sampled_from(list(TEXT_MUTATIONS)),
+       st.data())
+def test_loads_of_a_mutated_dumps_matches_the_general_route(width, spec, name, mutation, data):
+    gate = Gate(width, permutation(spec[0], width, spec[1]), name)
+    text = TEXT_MUTATIONS[mutation](gate, gate.dumps(), data.draw)
+    assert_loads_matches_general_route(text)
+
+
+@pytest.mark.parametrize("width", [1, 3, 16])
+def test_make_gate_rows_that_hold_the_joiner_or_a_newline_match_reference(width):
+    """Rows holding "_", the 16-bit padding or a newline never pass for well-formed rows."""
+    separator = "_" + "0" * (16 - width)
+    good = rows("random", width, width)
+    for first, second in [(good[0] + separator + good[1], ""), (good[0] + "_", good[1][1:]),
+                          (good[0][:-1] + "\n", good[1]), (separator + good[0], good[1])]:
+        assert_make_gate_matches_reference(width, [first, second, *good[2:]])
+    # one row short: joined, the rows are the text of a whole gate
+    assert_make_gate_matches_reference(width, [good[0] + separator + good[1], *good[2:]])
+
+
+class Row(str):
+    """A ``str`` subclass row: joined by its characters, like a plain ``str``."""
+
+
+@pytest.mark.parametrize("width", [1, 3, 12])
+def test_make_gate_reads_str_subclass_rows_and_refuses_bytes_rows(width):
+    good = rows("involution", width, width)
+    want = make_gate(width, good, name="g")
+    got = make_gate(width, [Row(row) for row in good], name="g")
+    assert got == want and got.name == "g"
+    assert_make_gate_matches_reference(width, [Row(row) for row in good])
+    assert assert_make_gate_matches_reference(width, [row.encode() for row in good]) is ValueError
+    assert assert_make_gate_matches_reference(width, [good[0].encode(), *good[1:]]) is ValueError
 
 
 def comprehension_transfer_table(gate, project_line=None):
