@@ -96,6 +96,12 @@ def _check_width(width: object, kind: str) -> None:
         raise WrongLength(f"{kind} width must be 1..{MAX_WIDTH}, got {width!r}")
 
 
+def _check_gate(gate: object) -> None:
+    """Refuse anything that is not a ``Gate`` where one is read."""
+    if not isinstance(gate, Gate):
+        raise GateError(f"expected a Gate, got {type(gate).__name__}")
+
+
 _WORDS: dict[int, tuple[Word, ...]] = {}  # the intern table: never evicted, as ``==`` is identity
 
 
@@ -234,6 +240,7 @@ class Gate:
     def loads(cls, text: str) -> "Gate":
         """``from_json(json.loads(text))``; the layout ``dumps`` writes makes no string per row."""
         head, _, rows = text.partition(', "table": ["') if type(text) is str else ("", "", "")
+        rows = rows.rstrip(" \t\n\r")  # JSON whitespace after the object, as a shell pipe leaves
         try:  # that layout's head; a split below the top level of the object does not decode
             data = json.loads(head + "}") if rows.endswith('"]}') and "_" not in rows else None
         except (ValueError, RecursionError):

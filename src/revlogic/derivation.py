@@ -18,12 +18,12 @@ difference along j meets the fixing's subcube. The per-fixing route,
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from typing import Iterator, Mapping
 
-from .core import Gate, Word, all_words
+from .core import Gate, Word, _check_gate, all_words
 
 MAX_DERIVE_WIDTH = 8  # widest gate derived_connectives sweeps: 3^8 - 2^8 = 6,305 fixings
 
@@ -60,12 +60,24 @@ class Fixing:
 
     @classmethod
     def of(cls, width: int, assignments: Mapping[int, int]) -> "Fixing":
+        if not isinstance(assignments, Mapping):
+            raise InvalidFixing(f"assignments must map lines to bits, got {assignments!r}")
         return cls(width, tuple(assignments.items()))
 
     @cached_property
     def free(self) -> tuple[int, ...]:
         fixed_lines = {line for line, _ in self.fixed}
         return tuple(line for line in range(1, self.width + 1) if line not in fixed_lines)
+
+    @cached_property
+    def codes(self) -> tuple[int, ...]:
+        """The input encodings this fixing selects, in free-input encoding order: the
+        fixed bits plus every subset of the free lines' weights, the first most significant."""
+        width = self.width
+        codes = [sum(bit << width - line for line, bit in self.fixed)]
+        for weight in [1 << width - line for line in reversed(self.free)]:  # lowest weight first
+            codes += [code | weight for code in codes]
+        return tuple(codes)
 
     @property
     def assignments(self) -> dict[int, int]:
@@ -77,24 +89,16 @@ class Fixing:
         return ",".join(f"x{line}={bit}" for line, bit in self.fixed)
 
 
-def _subset_codes(base: int, weights: list[int]) -> list[int]:
-    """``base`` plus every subset of ``weights``, the first weight most significant."""
-    codes = [base]
-    for weight in weights:
-        codes = [code | bit for code in codes for bit in (0, weight)]
-    return codes
-
-
 def input_codes(gate: Gate, fixing: Fixing) -> tuple[int, ...]:
     """Encodings of the gate inputs a fixing selects, in free-input encoding order.
 
-    The one place a fixing's width is checked against the gate's."""
+    The one place a fixing's width is checked against the gate's; then ``fixing.codes``."""
+    _check_gate(gate)
     if not isinstance(fixing, Fixing):
         raise InvalidFixing(f"fixing must be a Fixing, got {type(fixing).__name__}")
     if fixing.width != gate.width:
         raise InvalidFixing(f"fixing is for width {fixing.width}, gate has {gate.width}")
-    base = sum(bit << (gate.width - line) for line, bit in fixing.fixed)
-    return tuple(_subset_codes(base, [1 << (gate.width - line) for line in fixing.free]))
+    return fixing.codes
 
 
 def restrict(gate: Gate, fixing: Fixing) -> tuple[tuple[Word, Word], ...]:
@@ -126,7 +130,9 @@ class BooleanFunction:
 
     @classmethod
     def from_truth(cls, inputs: tuple[int, ...], truth: tuple[int, ...]) -> "BooleanFunction":
-        if len(truth) != 1 << len(inputs) or not {0, 1}.issuperset(truth):
+        if not (isinstance(inputs, Sequence) and isinstance(truth, Sequence)):
+            raise ValueError(f"inputs and truth must be sequences, got {inputs!r} and {truth!r}")
+        if len(truth) != 1 << len(inputs) or not all(map((0, 1).__contains__, truth)):
             raise ValueError(f"{len(inputs)} inputs need {1 << len(inputs)} truth bits")
         essential = set()
         k = len(inputs)
@@ -139,10 +145,11 @@ class BooleanFunction:
 
 def output_function(gate: Gate, fixing: Fixing, line: int) -> BooleanFunction:
     """Output line ``line`` (1-based) as a Boolean function of the free inputs."""
+    codes = input_codes(gate, fixing)
     if type(line) is not int or not 1 <= line <= gate.width:
         raise InvalidFixing(f"output line {line!r} outside 1..{gate.width}")
     shift = gate.width - line
-    truth = tuple(gate.perm[code] >> shift & 1 for code in input_codes(gate, fixing))
+    truth = tuple(gate.perm[code] >> shift & 1 for code in codes)
     return BooleanFunction.from_truth(fixing.free, truth)
 
 
@@ -195,12 +202,14 @@ def classify(bf: BooleanFunction) -> Connective:
     Functions with more than two essential inputs have no connective name and
     come back as RAW.
     """
+    if not isinstance(bf, BooleanFunction):
+        raise ValueError(f"classify takes a BooleanFunction, got {type(bf).__name__}")
     if len(bf.essential) > 2:
         return Connective.RAW
-
-    # Non-essential inputs read as 0: the function does not depend on them.
-    weights = [1 << (bf.arity - 1 - bf.inputs.index(line)) for line in sorted(bf.essential)]
-    return _NAMES[tuple(map(bf.truth.__getitem__, _subset_codes(0, weights)))]
+    # Non-essential inputs read as 0; a and b weigh the first and last essential line.
+    weights = [1 << bf.arity - 1 - bf.inputs.index(line) for line in sorted(bf.essential)] or [0]
+    a, b = weights[0], weights[-1]
+    return _NAMES[tuple(map(bf.truth.__getitem__, (0, b, a, a + b)[:1 << len(bf.essential)]))]
 
 
 @dataclass(frozen=True)
@@ -228,10 +237,12 @@ class DerivedConnectives:
 def iter_fixings(width: int) -> Iterator[Fixing]:
     """Every fixing that leaves a line free, by number of fixed lines, then in
     lexicographic order of (fixed-line set, fixed values)."""
-    for count in range(width):
-        for lines in itertools.combinations(range(1, width + 1), count):
-            for values in itertools.product((0, 1), repeat=count):
-                yield Fixing(width, tuple(zip(lines, values)))
+    if type(width) is not int or width < 1:
+        raise InvalidFixing(f"fixing width must be an int >= 1, got {width!r}")
+    return (Fixing(width, tuple(zip(lines, values)))
+            for count in range(width)
+            for lines in itertools.combinations(range(1, width + 1), count)
+            for values in itertools.product((0, 1), repeat=count))
 
 
 @cache
@@ -246,14 +257,10 @@ def _sweep(width: int) -> tuple[list[int], list[tuple]]:
                  for j in range(1, width + 1)]
     records = []
     for fixing in iter_fixings(width):
-        cube, base = (1 << size) - 1, 0
-        for line, bit in fixing.fixed:
-            cube &= ~low[line] if bit else low[line]
-            base |= bit << width - line
-        fixed = fixing.assignments
+        codes, fixed = fixing.codes, fixing.assignments
         relay = [(_NAMES[(fixed[line],)], ()) if line in fixed else (Connective.ID, (line,))
                  for line in range(1, width)] + [None]
-        records.append((fixing, cube, base, fixing.free, relay))
+        records.append((fixing, sum(1 << c for c in codes), codes[0], fixing.free, relay))
     return low, records
 
 
@@ -266,6 +273,7 @@ def derived_connectives(gate: Gate) -> DerivedConnectives:
     line carries as well (signal duplication, e.g. (a,0,0) -> (a,0,a)).
     Unnameable (RAW) projections are omitted.
     """
+    _check_gate(gate)
     if gate.width > MAX_DERIVE_WIDTH:
         raise InvalidFixing(f"derivation takes widths 1..{MAX_DERIVE_WIDTH}, got {gate.width}")
     width, perm = gate.width, gate.perm

@@ -17,7 +17,7 @@ from numbers import Real
 from types import MappingProxyType
 from typing import Hashable, Mapping
 
-from .core import Gate, Word, all_words
+from .core import Gate, Word, _check_gate, all_words
 from .derivation import Fixing, input_codes
 
 #: Boltzmann constant, exact SI value, J/K.
@@ -87,11 +87,6 @@ class Distribution:
         """The one probability every outcome has, or None when they differ."""
         weights = set(self.probabilities.values())
         return weights.pop() if len(weights) == 1 else None
-
-
-def shannon_entropy(dist: Distribution) -> float:
-    """Entropy in bits, with 0 * log 0 = 0."""
-    return dist.entropy_bits
 
 
 def _entropy_bits(multiplicity: Mapping[float, int]) -> float:
@@ -165,7 +160,7 @@ def info_loss(table: Mapping[Word, Hashable], dist: Distribution) -> EnergyRepor
     if not abs(total - 1.0) <= _SUM_TOL:
         raise InvalidDistribution(f"probabilities sum to {total}, not 1")
     return EnergyReport(
-        input_entropy_bits=shannon_entropy(dist),
+        input_entropy_bits=dist.entropy_bits,
         output_entropy_bits=_entropy_bits(masses),
     )
 
@@ -191,6 +186,7 @@ def transfer_table(
     ``project_line`` the table keeps only that output bit, which is exactly
     the step that discards garbage and starts erasing information.
     """
+    _check_gate(gate)
     words = all_words(gate.width)
     if fixing is None:
         inputs, outputs = words, gate.perm

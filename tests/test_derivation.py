@@ -9,7 +9,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from golden import RESTRICTION_ROWS
-from revlogic.core import Gate, Word
+from revlogic.core import Gate, GateError, Word
 from revlogic.derivation import (
     BINARY_NAMES,
     MAX_DERIVE_WIDTH,
@@ -19,8 +19,10 @@ from revlogic.derivation import (
     DerivedConnectives,
     Fixing,
     InvalidFixing,
+    _sweep,
     classify,
     derived_connectives,
+    input_codes,
     iter_fixings,
     output_function,
     restrict,
@@ -236,7 +238,7 @@ class TestClassify:
         assert classify(BooleanFunction.from_truth((2, 1), (0, 0, 1, 0))) is Connective.NIMPLIES_BA
 
     @pytest.mark.parametrize("truth", [
-        (0, 0, 0, 2), (0, 1, -1, 1), (0, 1, 1, None), ("0", 1, 1, 1),
+        (0, 0, 0, 2), (0, 1, -1, 1), (0, 1, 1, None), ("0", 1, 1, 1), (0, 1, 1, [1]),
     ])
     def test_truth_entries_must_be_bits(self, truth):
         # classify used to fail later with a KeyError on the unknown vector
@@ -543,3 +545,86 @@ def test_a_pass_through_line_keeps_every_name(perm, embed):
 def test_a_pass_through_line_keeps_every_name_at_width_8():
     gate = toffoli(7)
     assert derive(gate).names <= derive(front_wire(gate)).names
+
+
+def subcube_oracle(fixing):
+    """The codes whose fixed lines hold their bits, ascending: free-input encoding order."""
+    w = fixing.width
+    return [c for c in range(1 << w) if all(c >> w - line & 1 == bit for line, bit in fixing.fixed)]
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_codes_match_the_brute_force_oracle_at_widths_1_to_6(width):
+    for fixing in iter_fixings(width):
+        assert fixing.codes == tuple(subcube_oracle(fixing)), fixing
+
+
+# one bit (or free, None) per line, at least one line free
+@settings(max_examples=8, deadline=None)
+@given(st.integers(7, 16).flatmap(lambda width: st.lists(
+    st.sampled_from([None, 0, 1]), min_size=width, max_size=width).filter(
+    lambda bits: None in bits)))
+def test_codes_match_the_brute_force_oracle_at_widths_7_to_16(bits):
+    fixing = Fixing(len(bits), tuple((line, bit) for line, bit in enumerate(bits, 1)
+                                     if bit is not None))
+    assert fixing.codes == tuple(subcube_oracle(fixing))
+
+
+def test_codes_are_built_once_and_read_by_input_codes():
+    fixing, twin = Fixing.of(3, {2: 1}), Fixing.of(3, {2: 1})
+    assert fixing.codes is fixing.codes
+    assert input_codes(build("cl"), fixing) is fixing.codes
+    assert fixing == twin and hash(fixing) == hash(twin)  # a cached read is no field
+
+
+@pytest.mark.parametrize("width", range(1, 6))
+def test_each_sweep_record_reads_its_cube_and_base_from_the_codes(width):
+    for fixing, cube, base, _, _ in _sweep(width)[1]:
+        oracle = subcube_oracle(fixing)
+        assert (cube, base) == (sum(1 << c for c in oracle), oracle[0]), fixing
+
+
+class TestTypedErrorsAtTheEdge:
+    """Arguments of the wrong kind raise the module's own errors, not AttributeError or
+    TypeError from inside."""
+
+    @pytest.mark.parametrize("gate", [None, "cl", 3])
+    def test_derived_connectives_of_a_non_gate_is_a_gate_error(self, gate):
+        with pytest.raises(GateError, match="expected a Gate"):
+            derived_connectives(gate)
+
+    @pytest.mark.parametrize("gate", [None, "cl"])
+    def test_input_codes_of_a_non_gate_is_a_gate_error(self, gate):
+        with pytest.raises(GateError, match="expected a Gate"):
+            input_codes(gate, Fixing.of(3, {3: 0}))
+
+    @pytest.mark.parametrize("gate", [None, "cl"])
+    def test_restrict_of_a_non_gate_is_a_gate_error(self, gate):
+        with pytest.raises(GateError, match="expected a Gate"):
+            restrict(gate, Fixing.of(3, {3: 0}))
+
+    def test_output_function_of_a_non_gate_is_a_gate_error(self):
+        with pytest.raises(GateError, match="expected a Gate"):
+            output_function(None, Fixing.of(3, {3: 0}), 3)
+
+    @pytest.mark.parametrize("assignments", [None, [(3, 0)], "x3=0", 3])
+    def test_fixing_of_a_non_mapping_is_an_invalid_fixing(self, assignments):
+        with pytest.raises(InvalidFixing, match="assignments must map lines to bits"):
+            Fixing.of(3, assignments)
+
+    @pytest.mark.parametrize("bf", [None, (0, 1, 1, 1), Connective.OR])
+    def test_classify_of_a_non_function_is_a_value_error(self, bf):
+        with pytest.raises(ValueError, match="classify takes a BooleanFunction"):
+            classify(bf)
+
+    @pytest.mark.parametrize("inputs,truth", [((1,), None), (None, (0, 1)), ((1,), {0, 1}),
+                                              ((1,), 1)])
+    def test_from_truth_of_a_non_sequence_is_a_value_error(self, inputs, truth):
+        with pytest.raises(ValueError, match="inputs and truth must be sequences"):
+            BooleanFunction.from_truth(inputs, truth)
+
+    @pytest.mark.parametrize("width", [2.0, "3", -1, 0, True, None])
+    def test_iter_fixings_refuses_a_width_that_is_not_an_int_of_at_least_1(self, width):
+        # refused at the call, before anything is iterated
+        with pytest.raises(InvalidFixing, match=r"fixing width must be an int >= 1"):
+            iter_fixings(width)

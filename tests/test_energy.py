@@ -11,7 +11,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from revlogic.core import Word, all_words, make_gate
+from revlogic.core import GateError, Word, all_words, make_gate
 from revlogic.derivation import Fixing, InvalidFixing, input_codes
 from revlogic.energy import (
     BOLTZMANN_JK,
@@ -21,7 +21,6 @@ from revlogic.energy import (
     NonphysicalTemperature,
     info_loss,
     landauer_energy,
-    shannon_entropy,
     transfer_table,
 )
 from revlogic.library import all_gate_ids, build
@@ -43,15 +42,15 @@ def entropy_oracle(probs):
 
 class TestShannonEntropy:
     def test_uniform_four_outcomes(self):
-        assert shannon_entropy(Distribution.uniform("abcd")) == pytest.approx(2.0)
+        assert Distribution.uniform("abcd").entropy_bits == pytest.approx(2.0)
 
     def test_point_mass(self):
-        assert shannon_entropy(Distribution({"x": 1.0})) == 0.0
+        assert Distribution({"x": 1.0}).entropy_bits == 0.0
 
     def test_quarter_three_quarter(self):
         expected = entropy_oracle([0.25, 0.75])
         assert expected == pytest.approx(0.8112781244591328)
-        assert shannon_entropy(Distribution({"a": 0.25, "b": 0.75})) == pytest.approx(
+        assert Distribution({"a": 0.25, "b": 0.75}).entropy_bits == pytest.approx(
             expected, abs=1e-12)
 
     def test_invalid_distributions(self):
@@ -124,6 +123,12 @@ class TestInfoLoss:
         with pytest.raises(InvalidFixing, match="fixing must be a Fixing, got dict"):
             transfer_table(build("cl"), {3: 0})
 
+    @pytest.mark.parametrize("fixing", [None, Fixing.of(3, {3: 0})])
+    @pytest.mark.parametrize("gate", [None, "cl"])
+    def test_a_gate_that_is_not_a_gate_is_a_gate_error(self, gate, fixing):
+        with pytest.raises(GateError, match="expected a Gate"):
+            transfer_table(gate, fixing)
+
     def test_fixing_of_another_width_is_rejected(self):
         with pytest.raises(InvalidFixing, match="fixing is for width 3, gate has 2"):
             transfer_table(build("cnot"), Fixing.of(3, {3: 0}))
@@ -150,7 +155,7 @@ class TestInfoLoss:
         report = info_loss(table, Distribution.uniform(table.keys()))
         assert report.output_entropy_bits == 0.0
         assert math.copysign(1.0, report.output_entropy_bits) == 1.0
-        assert math.copysign(1.0, shannon_entropy(Distribution({"x": 1.0}))) == 1.0
+        assert math.copysign(1.0, Distribution({"x": 1.0}).entropy_bits) == 1.0
 
 
 class TestSharedUniform:
@@ -161,7 +166,7 @@ class TestSharedUniform:
         assert Distribution.uniform_words(width) is shared
         assert shared == built and built == shared
         assert list(shared.probabilities) == list(all_words(width))
-        assert shannon_entropy(shared) == shannon_entropy(built) == width
+        assert shared.entropy_bits == built.entropy_bits == width
 
     def test_read_only(self):
         probs = Distribution.uniform_words(2).probabilities
@@ -173,10 +178,10 @@ class TestSharedUniform:
 
     def test_pickle_and_deepcopy_round_trip(self):
         shared = Distribution.uniform_words(3)
-        shannon_entropy(shared)  # a filled cache must not stop either
+        assert shared.entropy_bits == 3.0  # a filled cache must not stop either
         for clone in (pickle.loads(pickle.dumps(shared)), copy.deepcopy(shared)):
             assert clone == shared and clone is not shared
-            assert shannon_entropy(clone) == 3.0
+            assert clone.entropy_bits == 3.0
             assert info_loss(transfer_table(build("cl")), clone) == info_loss(
                 transfer_table(build("cl")), shared)
 

@@ -79,12 +79,16 @@ def run_tool(repo, tmp_path, *extra):
     return json.loads(out.read_text())
 
 
-def test_alternating_pairs_on_fresh_copies(repo, tmp_path):
+def test_alternating_pairs_on_fresh_copies(repo, tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     report = run_tool(repo, tmp_path, "--pairs", "3", "--seed", "5")
     head = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD"], capture_output=True,
                           text=True, check=True).stdout.strip()
     result = report["results"]["w-seed5"]
     assert result["env"]["parent"] == head and result["env"]["change_dirty"] is True
+    # the bytecode conditions: what the runs inherit, and what both trees were given
+    assert result["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert result["env"]["bytecode"] == "both trees compiled by fresh_bytecode: src, bench_dir"
     assert [(p["pair"], p["seed"], p["first"]) for p in result["runs"]] == [
         (0, 5, "parent"), (1, 6, "change"), (2, 7, "parent")]
     for run in result["runs"]:
@@ -99,9 +103,11 @@ def test_alternating_pairs_on_fresh_copies(repo, tmp_path):
     assert result["failed_share"] == {"parent": 0.0, "change": 0.1}
 
 
-def test_metric_summaries(repo, tmp_path):
-    metrics = run_tool(repo, tmp_path, "--pairs", "4", "--seed", "0")["results"]["w-seed0"][
-        "metrics"]
+def test_metric_summaries(repo, tmp_path, monkeypatch):
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    result = run_tool(repo, tmp_path, "--pairs", "4", "--seed", "0")["results"]["w-seed0"]
+    assert result["env"]["PYTHONDONTWRITEBYTECODE"] is None  # unset, not ""
+    metrics = result["metrics"]
     passed = metrics["pass_p50_ms"]
     assert passed["parent"] == {"n": 4, "q1": 10.0, "median": 10.0, "q3": 10.0}
     assert passed["change"]["median"] == 8.0

@@ -660,6 +660,8 @@ TEXT_MUTATIONS = {
                             ("table-lookalike", json.dumps(', "table": ["'))]},
     "compact": lambda gate, t, draw: json.dumps(json.loads(t), separators=(",", ":")),
     "trailing-newline": lambda gate, t, draw: t + "\n",
+    "trailing-json-whitespace": lambda gate, t, draw: t + " \t\r\n",
+    "trailing-form-feed": lambda gate, t, draw: t + "\n\f",
     "leading-space": lambda gate, t, draw: " " + t,
     "unclosed": lambda gate, t, draw: t[:-1],
     "closers-swapped": lambda gate, t, draw: t[:-2] + "}]",
@@ -675,6 +677,21 @@ def test_loads_of_a_mutated_dumps_matches_the_general_route(width, spec, name, m
     gate = Gate(width, permutation(spec[0], width, spec[1]), name)
     text = TEXT_MUTATIONS[mutation](gate, gate.dumps(), data.draw)
     assert_loads_matches_general_route(text)
+
+
+@pytest.mark.parametrize("width", [1, 3, 16])
+def test_dumps_text_with_trailing_whitespace_is_read_in_place(width, monkeypatch):
+    """What ``gates show <id> | tail -1`` hands to ``sys.stdin.read()`` takes the layout route."""
+    gate = Gate(width, permutation("random", width, width), "g")
+    texts = [gate.dumps() + tail for tail in ("\n", "\r\n", " ", "\t\n\n")]
+
+    def general_route(data):
+        raise AssertionError("dumps text reached Gate.from_json")
+
+    monkeypatch.setattr(Gate, "from_json", general_route)
+    for text in texts:
+        loaded = Gate.loads(text)
+        assert loaded == gate and loaded.name == "g"
 
 
 @pytest.mark.parametrize("width", [1, 3, 16])

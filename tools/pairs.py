@@ -13,14 +13,18 @@ using seed ``--seed + i`` on both sides. Each run is the ``BENCHMARK.json``
 command with ``--workload W --seed S --seconds T --trace 0`` (``T`` is its
 ``run_seconds``), and its last stdout line is read as JSON.
 
-The report keeps the environment and each run's last line and, for every
+The report keeps the environment, each run's last line and, for every
 end-to-end metric ``BENCHMARK.json`` names, each side's quartiles, the
 parent's spread (q3 - q1, also relative to its median), the median of the
 per-pair change/parent ratios, the pairs the change won (ties count for
 neither side) and ``unresolved`` when the parent's relative spread exceeds
 the metric's bound. ``gain`` says whether the change won at least nine pairs
 in ten and its median is better than the parent's by more than the parent's
-spread. The report is reporting only: nothing here passes or fails a change.
+spread. The environment records the ``PYTHONDONTWRITEBYTECODE`` value the
+runs inherit and the paths ``fresh_bytecode`` compiled in both trees: a
+checkout without bytecode recompiles ``src`` in every cold process, so runs
+made under other bytecode conditions do not compare. The report is
+reporting only: nothing here passes or fails a change.
 Only the standard library is used.
 """
 from __future__ import annotations
@@ -159,7 +163,7 @@ def compare(parent_tree: Path, change_tree: Path, benchmark: dict, workload: str
     }
 
 
-def environment(change: Path, rev: str) -> dict:
+def environment(change: Path, rev: str, compiled: list[str]) -> dict:
     return {
         "python": platform.python_version(),
         "platform": platform.platform(),
@@ -167,6 +171,8 @@ def environment(change: Path, rev: str) -> dict:
         "parent": git(change, "rev-parse", rev).strip(),
         "change_head": git(change, "rev-parse", "HEAD").strip(),
         "change_dirty": bool(git(change, "status", "--porcelain").strip()),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "bytecode": f"both trees compiled by fresh_bytecode: {', '.join(compiled)}",
     }
 
 
@@ -198,9 +204,10 @@ def main(argv=None) -> int:
         tree.mkdir(parents=True)
     archive_parent(change, args.parent, parent_tree)
     copy_change(change, change_tree)
+    compiled = ["src", *benchmark.get("paths", [])]
     for tree in (parent_tree, change_tree):
-        fresh_bytecode(tree, ["src", *benchmark.get("paths", [])])
-    result = {"env": environment(change, args.parent),
+        fresh_bytecode(tree, compiled)
+    result = {"env": environment(change, args.parent, compiled),
               **compare(parent_tree, change_tree, benchmark, args.workload, args.pairs,
                         args.seed, seconds)}
     report = json.loads(args.out.read_text()) if args.out and args.out.exists() else {}
