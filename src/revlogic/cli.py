@@ -2,12 +2,10 @@
 
 Data goes to stdout, diagnostics to stderr. Every verb grows machine-readable
 output with --json. Exit codes: 0 on success and all-PASS verification, 1 on
-any FAIL verdict, 2 on usage errors.
+any FAIL verdict, 2 on usage errors, which include any ValueError a verb raises.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import re
 
@@ -16,17 +14,25 @@ import click
 from . import device, library, machine
 from .derivation import Fixing, derived_connectives
 from .device import DeviceConfig, ProbeState, run_histogram
-from .energy import Distribution, NonphysicalTemperature, info_loss, transfer_table
+from .energy import Distribution, info_loss, transfer_table
 from .library import build
 
 SEED_ENVVAR = "REVLOGIC_SEED"
 
 
-def _gate(gate_id: str):
-    try:
-        return build(gate_id)
-    except library.UnknownId as exc:
-        raise click.UsageError(str(exc)) from None
+class _Verb(click.Command):
+    """A verb whose typed refusal, a ValueError, is exit 2 under its own usage line."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:  # any other exception is a bug and passes through
+            raise click.UsageError(str(exc), ctx) from None
+
+
+class _Verbs(click.Group):
+    command_class = _Verb
+    group_class = type  # subgroups (gates) are _Verbs too
 
 
 def _format_rows(rows, width: int) -> str:
@@ -36,7 +42,7 @@ def _format_rows(rows, width: int) -> str:
         f" {'  '.join(str(win))}   ->  {'   '.join(str(wout))}" for win, wout in rows])
 
 
-@click.group()
+@click.group(cls=_Verbs)
 def main() -> None:
     """Reversible-logic workbench: gates, connective derivation, the
     probe-cantilever device simulator, and Landauer accounting."""
@@ -58,7 +64,7 @@ def gates_list() -> None:
 @click.option("--json", "as_json", is_flag=True, help="Emit the JSON gate form.")
 def gates_show(gate_id: str, as_json: bool) -> None:
     """Print a gate's table and its JSON serialization."""
-    gate = _gate(gate_id)
+    gate = build(gate_id)
     if as_json:
         click.echo(json.dumps(gate.to_json(), indent=2))
         return
@@ -72,7 +78,7 @@ def gates_show(gate_id: str, as_json: bool) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def derive(gate_id: str, as_json: bool) -> None:
     """Connectives realizable from GATE_ID by fixing ancilla lines."""
-    gate = _gate(gate_id)
+    gate = build(gate_id)
     result = derived_connectives(gate)
     if as_json:
         click.echo(json.dumps({
@@ -115,12 +121,9 @@ def simulate(probe_bits, trials, seed, sigma, bin_width, distinguishable,
              alpha_hat1, alpha_tilde1, alpha2, as_json) -> None:
     """Seeded Monte Carlo histogram of device output angles."""
     ps = ProbeState.from_bits(probe_bits)
-    try:
-        cfg = DeviceConfig(alpha_hat1=alpha_hat1, alpha_tilde1=alpha_tilde1, alpha2=alpha2,
-                           sigma=sigma, distinguishable=distinguishable)
-        hist = run_histogram(ps, trials, cfg, seed=seed, bin_width=bin_width)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+    cfg = DeviceConfig(alpha_hat1=alpha_hat1, alpha_tilde1=alpha_tilde1, alpha2=alpha2,
+                       sigma=sigma, distinguishable=distinguishable)
+    hist = run_histogram(ps, trials, cfg, seed=seed, bin_width=bin_width)
     summary = {
         "input": probe_bits,
         "symbol": device.encode_symbolic(ps),
@@ -138,12 +141,10 @@ def simulate(probe_bits, trials, seed, sigma, bin_width, distinguishable,
         ]
         click.echo(json.dumps(summary, allow_nan=False))
         return
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["bin_low", "bin_high", "count"])
-    for i, count in enumerate(hist.counts):
-        writer.writerow([f"{hist.bin_edges[i]:.6g}", f"{hist.bin_edges[i + 1]:.6g}", count])
-    click.echo(out.getvalue(), nl=False)
+    # the csv module's own format: comma-separated, CRLF row ends, no field needs quoting
+    edges = [f"{edge:.6g}" for edge in hist.bin_edges]
+    click.echo("bin_low,bin_high,count\r\n" + "".join(
+        f"{edges[i]},{edges[i + 1]},{count}\r\n" for i, count in enumerate(hist.counts)), nl=False)
     click.echo(json.dumps(summary, allow_nan=False), err=True)
 
 
@@ -198,21 +199,14 @@ def _parse_fix(fix_texts: tuple[str, ...]) -> dict[int, int]:
 @click.option("--temp", "temperature", type=float, default=None, help="Kelvin.")
 def energy_cmd(gate_id, project_line, fixes, temperature) -> None:
     """Erased bits and Landauer cost of a (possibly projected) gate table."""
-    gate = _gate(gate_id)
+    gate = build(gate_id)
     assignments = _parse_fix(fixes)
-    try:
-        fixing = Fixing.of(gate.width, assignments) if assignments else None
-        table = transfer_table(gate, fixing, project_line)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+    fixing = Fixing.of(gate.width, assignments) if assignments else None
+    table = transfer_table(gate, fixing, project_line)
     dist = Distribution.uniform(table.keys())
     report = info_loss(table, dist)
     payload = {"gate": gate.name, "fixing": fixing.label() if fixing else None,
-               "project_line": project_line}
-    try:
-        payload.update(report.to_json(temperature))
-    except NonphysicalTemperature as exc:
-        raise click.UsageError(str(exc)) from None
+               "project_line": project_line, **report.to_json(temperature)}
     click.echo(json.dumps(payload, allow_nan=False))
 
 

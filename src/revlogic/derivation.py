@@ -132,6 +132,9 @@ class BooleanFunction:
     def from_truth(cls, inputs: tuple[int, ...], truth: tuple[int, ...]) -> "BooleanFunction":
         if not (isinstance(inputs, Sequence) and isinstance(truth, Sequence)):
             raise ValueError(f"inputs and truth must be sequences, got {inputs!r} and {truth!r}")
+        inputs, truth = tuple(inputs), tuple(truth)  # stored as tuples, so a list still hashes
+        if not all(type(line) is int for line in inputs):
+            raise ValueError(f"inputs must be int lines, got {inputs!r}")
         if len(truth) != 1 << len(inputs) or not all(map((0, 1).__contains__, truth)):
             raise ValueError(f"{len(inputs)} inputs need {1 << len(inputs)} truth bits")
         essential = set()

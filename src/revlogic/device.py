@@ -44,7 +44,7 @@ class ProbeState:
 
     def __post_init__(self) -> None:
         if not (isinstance(self.bits, tuple) and len(self.bits) == 2
-                and all(isinstance(bit, int) and bit in (0, 1) for bit in self.bits)):
+                and all(type(bit) is int and bit in (0, 1) for bit in self.bits)):
             raise ValueError(f"probe state must be a pair of bits 0/1, got {self.bits!r}")
 
     @classmethod
@@ -95,7 +95,8 @@ class DeviceConfig:
 
     def __post_init__(self) -> None:
         values = (self.alpha_hat1, self.alpha_tilde1, self.alpha2, self.sigma)
-        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values):
+        if bool in map(type, values) or not all(  # a bool is an int, never an angle
+                isinstance(v, numbers.Real) and math.isfinite(v) for v in values):
             raise ValueError(f"angles and sigma must be finite, got {values}")
         if type(self.distinguishable) is not bool:  # a truthy "no" would resolve DA and AD
             raise ValueError(f"distinguishable must be a bool, got {self.distinguishable!r}")
@@ -229,26 +230,25 @@ def run_histogram(
         width = float(bin_width) if isinstance(bin_width, numbers.Real) else math.nan
     except OverflowError:  # an int past the float range is infinitely wide; str() may refuse it
         width, bin_width = math.inf, "an int past the float range"
-    if not 0 < width < math.inf:
+    if not 0 < width < math.inf or bin_width is True:  # False is refused as 0 wide
         raise ValueError(f"bin width must be finite and positive, got {bin_width}")
-    bin_width = width
     cfg = as_config(cfg)
     equilibrium_angle(ps, cfg)  # refuse a bad probe state before numpy loads
     import numpy as np
 
     samples = sample_many(ps, n, cfg, np.random.default_rng(seed))
     low, high = float(samples.min()), float(samples.max())
-    lo, hi = low / bin_width, high / bin_width
-    # Past 2**52, adjacent edges k * bin_width stop being distinct floats.
+    lo, hi = low / width, high / width
+    # Past 2**52, adjacent edges k * width stop being distinct floats.
     if not (hi - lo < MAX_BINS and hi < 2**52):
-        raise ValueError(f"bin width {bin_width} is too fine for these samples")
+        raise ValueError(f"bin width {width} is too fine for these samples")
     k_lo, k_hi = math.floor(lo), math.floor(hi) + 1
     # np.histogram drops samples past the edges, and k * w can round past one (82 * 0.02)
-    while k_lo * bin_width > low:
+    while k_lo * width > low:
         k_lo -= 1
-    while k_hi * bin_width < high:  # the last bin is closed: high may sit on its edge
+    while k_hi * width < high:  # the last bin is closed: high may sit on its edge
         k_hi += 1
-    edges = np.arange(k_lo, k_hi + 1) * bin_width
+    edges = np.arange(k_lo, k_hi + 1) * width
     counts, _ = np.histogram(samples, bins=edges)
     mean = samples.mean()  # then np.std's arithmetic, over samples rather than a copy
     np.square(np.subtract(samples, mean, out=samples), out=samples)

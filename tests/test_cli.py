@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden import GATE_ROWS
-from revlogic import machine
+from revlogic import cli, library, machine
 from revlogic.cli import main
 from revlogic.derivation import Connective
 from revlogic.library import GateId
+from revlogic.machine import U4Unclassifiable
 
 
 #: Exit code and exact stdout of the table-printing verbs, one case per
@@ -34,6 +35,87 @@ def test_stdout_is_byte_identical_to_the_pinned_output(runner, case):
     result = runner.invoke(main, case["args"].split())
     assert result.exit_code == case["exit_code"]
     assert result.stdout_bytes == case["stdout"].encode("utf-8")
+
+
+def usage_error(usage, message):
+    """What a refusal prints on stderr: the verb's usage line, the help hint, the error."""
+    verb = usage.partition(" [OPTIONS]")[0]
+    return f"Usage: main {usage}\nTry 'main {verb} --help' for help.\n\nError: {message}\n"
+
+
+UNKNOWN_GATE = "unknown gate id 'fredkin'; choose from cl, toffoli, x, i, cnot, not, identity3"
+ENERGY, SIMULATE = "energy [OPTIONS]", "simulate [OPTIONS]"
+#: Arguments, exit code, stdout and stderr of a refusal from each verb's layer or
+#: option parsing, byte for byte.
+REFUSALS = [
+    ("gates show fredkin", 2, "", usage_error("gates show [OPTIONS] GATE_ID", UNKNOWN_GATE)),
+    ("derive fredkin", 2, "", usage_error("derive [OPTIONS] GATE_ID", UNKNOWN_GATE)),
+    ("energy --gate fredkin", 2, "", usage_error(ENERGY, UNKNOWN_GATE)),
+    ("energy --gate cl --fix x9=0", 2, "", usage_error(ENERGY, "line 9 outside 1..3")),
+    ("energy --gate cl --project 7", 2, "", usage_error(ENERGY, "output line 7 outside 1..3")),
+    ("energy --gate cl --temp -1", 2, "",
+     usage_error(ENERGY, "temperature must be finite and > 0 K, got -1.0")),
+    ("energy --gate cl --fix x1=0 --fix x2=0 --fix x3=0", 2, "",
+     usage_error(ENERGY, "at least one line must remain free")),
+    ("simulate --input 11 --n 0", 2, "",
+     usage_error(SIMULATE, "trials must be 1..10000000, got 0")),
+    ("simulate --input 11 --sigma 1e308", 2, "",
+     usage_error(SIMULATE, "sigma must be positive and keep the sample support "
+                           "alpha2 + 6 sigma finite, got 1e+308")),
+    ("simulate --input 11 --bin-width 5e-324", 2, "",
+     usage_error(SIMULATE, "bin width 5e-324 is too fine for these samples")),
+    ("simulate --input 11 --alpha2 nan", 2, "",
+     usage_error(SIMULATE, "angles and sigma must be finite, got (0.78, 0.93, nan, 0.03)")),
+    ("simulate --input 01 --distinguishable --alpha-hat1 0.95 --alpha-tilde1 0.9", 2, "",
+     usage_error(SIMULATE, "distinguishable config needs "
+                           "0 < alpha_hat1 < alpha_tilde1 < 1 < alpha2")),
+    ("energy --gate cl --fix three=0", 2, "",
+     usage_error(ENERGY, "--fix wants x<line>=<bit>, got 'three=0'")),
+    ("machine", 2, "", usage_error("machine [OPTIONS]", "give exactly one of --norm or --all")),
+]
+
+
+@pytest.mark.parametrize("args,exit_code,stdout,stderr", REFUSALS, ids=[r[0] for r in REFUSALS])
+def test_refusal_is_byte_identical_to_the_pinned_output(runner, args, exit_code, stdout, stderr):
+    result = runner.invoke(main, args.split())
+    assert (result.exit_code, result.stdout, result.stderr) == (exit_code, stdout, stderr)
+
+
+#: Verbs with no refusal of their own: arguments, the layer call each makes
+#: (module, name) and the verb's usage line.
+EDGE_VERBS = [
+    ("gates list", library, "all_gate_ids", "gates list [OPTIONS]"),
+    ("derive cl", cli, "derived_connectives", "derive [OPTIONS] GATE_ID"),
+    ("machine --all", machine, "machine_table", "machine [OPTIONS]"),
+    ("verify-all", machine, "verify_all", "verify-all [OPTIONS]"),
+]
+
+
+@pytest.mark.parametrize("args,module,name,usage", EDGE_VERBS, ids=[v[0] for v in EDGE_VERBS])
+class TestOneRefusalEdge:
+    """Every verb maps a ValueError from its layer to exit 2, and nothing else."""
+
+    @staticmethod
+    def raising(monkeypatch, module, name, exc):
+        def call(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(module, name, call)
+
+    def test_value_error_is_exit_2_under_the_verb_usage(self, runner, monkeypatch,
+                                                        args, module, name, usage):
+        self.raising(monkeypatch, module, name, U4Unclassifiable("refused by the layer"))
+        result = runner.invoke(main, args.split())
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            2, "", usage_error(usage, "refused by the layer"))
+
+    def test_other_exception_is_not_a_usage_error(self, runner, monkeypatch,
+                                                  args, module, name, usage):
+        bug = TypeError("a program bug")
+        self.raising(monkeypatch, module, name, bug)
+        result = runner.invoke(main, args.split())
+        assert result.exception is bug
+        assert result.exit_code == 1 and "Usage:" not in result.stderr
 
 
 class TestGates:

@@ -623,6 +623,19 @@ class TestTypedErrorsAtTheEdge:
         with pytest.raises(ValueError, match="inputs and truth must be sequences"):
             BooleanFunction.from_truth(inputs, truth)
 
+    def test_from_truth_of_lists_equals_and_hashes_like_tuples(self):
+        # lists were once kept as given: the function could not be hashed
+        bf = BooleanFunction.from_truth([1], [0, 1])
+        assert bf == BooleanFunction.from_truth((1,), (0, 1))
+        assert hash(bf) == hash(BooleanFunction.from_truth((1,), (0, 1)))
+        assert (bf.inputs, bf.truth) == ((1,), (0, 1))
+
+    @pytest.mark.parametrize("inputs", ["ab", (1, "2"), (1.0, 2), (True, 2)])
+    def test_from_truth_refuses_inputs_that_are_not_int_lines(self, inputs):
+        # "ab" once gave inputs 'a' and 'b', which classify named OR
+        with pytest.raises(ValueError, match="inputs must be int lines"):
+            BooleanFunction.from_truth(inputs, (0, 1, 1, 1))
+
     @pytest.mark.parametrize("width", [2.0, "3", -1, 0, True, None])
     def test_iter_fixings_refuses_a_width_that_is_not_an_int_of_at_least_1(self, width):
         # refused at the call, before anything is iterated

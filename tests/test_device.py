@@ -92,6 +92,11 @@ class TestProbeState:
         with pytest.raises(ValueError, match="pair of bits"):
             ProbeState(bits)
 
+    def test_bool_bits_are_refused_not_read_as_ad(self):
+        # (True, False) once built AD: a bool is an int, but never a probe bit
+        with pytest.raises(ValueError, match="pair of bits"):
+            ProbeState((True, False))
+
     def test_symbols(self):
         assert encode_symbolic(AA) == "□"
         assert encode_symbolic(DD) == "*"
@@ -135,6 +140,13 @@ class TestDeviceConfig:
     def test_non_finite_values_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             DeviceConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["sigma", "alpha_hat1", "alpha_tilde1", "alpha2"])
+    def test_bool_sigma_or_angle_is_refused_not_read_as_1(self, field):
+        # sigma=True once built a config with sigma 1; numpy reals still pass
+        with pytest.raises(ValueError, match="angles and sigma must be finite"):
+            DeviceConfig(**{field: True})
+        assert DeviceConfig(sigma=np.float32(0.5)).sigma == 0.5
 
 
 class TestConfigArgument:
@@ -459,6 +471,11 @@ class TestHistogramEdges:
         # message once raised that error in place of the refusal
         with pytest.raises(ValueError, match="finite and positive, got an int past the float range$"):
             run_histogram(DD, 10, bin_width=10**5000)
+
+    def test_bool_bin_width_is_refused_not_read_as_1(self):
+        # run_histogram(DD, 10, None, 0, True) once binned at width 1.0
+        with pytest.raises(ValueError, match="bin width must be finite and positive, got True$"):
+            run_histogram(DD, 10, None, 0, True)
 
     def test_numpy_float_bin_widths_keep_working(self):
         assert run_histogram(AA, 300, seed=7, bin_width=np.float64(0.02)) == run_histogram(
