@@ -11,11 +11,13 @@ Words and gates are immutable values; every operation is a pure function.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import struct
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cache, cached_property, total_ordering
 from itertools import product, repeat
+from numbers import Real
 from typing import Iterable, Iterator, Sequence
 
 MAX_WIDTH = 16
@@ -94,6 +96,15 @@ def _check_width(width: object, kind: str) -> None:
     """Refuse a width that is not a plain int (a bool is not one) in 1..MAX_WIDTH."""
     if type(width) is not int or not 1 <= width <= MAX_WIDTH:
         raise WrongLength(f"{kind} width must be 1..{MAX_WIDTH}, got {width!r}")
+
+
+def _real(value: object) -> float | None:
+    """The float a real argument (not a bool; finite as a float) stands for, or None."""
+    try:  # an int past the float range overflows; numpy's bool is no Real
+        finite = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return None
+    return float(value) if finite else None
 
 
 def _check_gate(gate: object) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 
-from .core import Gate, Word, _check_gate, all_words
+from .core import MAX_WIDTH, Gate, Word, _check_gate, all_words
 
 MAX_DERIVE_WIDTH = 8  # widest gate derived_connectives sweeps: 3^8 - 2^8 = 6,305 fixings
 
@@ -40,8 +40,8 @@ class Fixing:
     fixed: tuple[tuple[int, int], ...]  # (line, bit) pairs, sorted by line
 
     def __post_init__(self) -> None:
-        if type(self.width) is not int:
-            raise InvalidFixing(f"fixing width must be an int, got {self.width!r}")
+        if type(self.width) is not int or self.width > MAX_WIDTH:  # codes double with each line
+            raise InvalidFixing(f"fixing width must be an int <= {MAX_WIDTH}, got {self.width!r}")
         try:
             pairs = [(line, bit) for line, bit in self.fixed]
         except (TypeError, ValueError):
@@ -135,7 +135,8 @@ class BooleanFunction:
         inputs, truth = tuple(inputs), tuple(truth)  # stored as tuples, so a list still hashes
         if not all(type(line) is int for line in inputs):
             raise ValueError(f"inputs must be int lines, got {inputs!r}")
-        if len(truth) != 1 << len(inputs) or not all(map((0, 1).__contains__, truth)):
+        if (len(truth) != 1 << len(inputs) or bool in set(map(type, truth))  # False in (0, 1)
+                or not all(map((0, 1).__contains__, truth))):
             raise ValueError(f"{len(inputs)} inputs need {1 << len(inputs)} truth bits")
         essential = set()
         k = len(inputs)
@@ -240,8 +241,8 @@ class DerivedConnectives:
 def iter_fixings(width: int) -> Iterator[Fixing]:
     """Every fixing that leaves a line free, by number of fixed lines, then in
     lexicographic order of (fixed-line set, fixed values)."""
-    if type(width) is not int or width < 1:
-        raise InvalidFixing(f"fixing width must be an int >= 1, got {width!r}")
+    if type(width) is not int or not 1 <= width <= MAX_WIDTH:
+        raise InvalidFixing(f"fixing width must be an int >= 1 and <= {MAX_WIDTH}, got {width!r}")
     return (Fixing(width, tuple(zip(lines, values)))
             for count in range(width)
             for lines in itertools.combinations(range(1, width + 1), count)

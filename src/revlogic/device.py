@@ -14,10 +14,11 @@ sample, not on import: the rest of the package is exact integer work.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from .core import _real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -95,9 +96,9 @@ class DeviceConfig:
 
     def __post_init__(self) -> None:
         values = (self.alpha_hat1, self.alpha_tilde1, self.alpha2, self.sigma)
-        if bool in map(type, values) or not all(  # a bool is an int, never an angle
-                isinstance(v, numbers.Real) and math.isfinite(v) for v in values):
+        if None in (reals := tuple(map(_real, values))):
             raise ValueError(f"angles and sigma must be finite, got {values}")
+        self.__dict__.update(zip(("alpha_hat1", "alpha_tilde1", "alpha2", "sigma"), reals))
         if type(self.distinguishable) is not bool:  # a truthy "no" would resolve DA and AD
             raise ValueError(f"distinguishable must be a bool, got {self.distinguishable!r}")
         # alpha2 + SUPPORT_SIGMAS * sigma bounds every sample; past the float range it is inf
@@ -168,6 +169,10 @@ def sample_many(
     """
     cfg = as_config(cfg)
     mean = equilibrium_angle(ps, cfg)
+    if not 0 <= (n := _integer("trials", n)) <= MAX_TRIALS:
+        raise ValueError(f"trials must be 0..{MAX_TRIALS}, got {n}")
+    if not callable(getattr(rng, "normal", None)):  # a Generator, or any wrapper of one
+        raise ValueError(f"rng must have a callable normal, got {rng!r}")
     lo = max(0.0, mean - SUPPORT_SIGMAS * cfg.sigma)
     hi = mean + SUPPORT_SIGMAS * cfg.sigma
     import numpy as np
@@ -226,11 +231,9 @@ def run_histogram(
     n, seed = _integer("trials", n), _integer("seed", seed)
     if not 1 <= n <= MAX_TRIALS:
         raise ValueError(f"trials must be 1..{MAX_TRIALS}, got {n}")
-    try:
-        width = float(bin_width) if isinstance(bin_width, numbers.Real) else math.nan
-    except OverflowError:  # an int past the float range is infinitely wide; str() may refuse it
-        width, bin_width = math.inf, "an int past the float range"
-    if not 0 < width < math.inf or bin_width is True:  # False is refused as 0 wide
+    if (width := _real(bin_width)) is None or width <= 0:
+        if width is None and type(bin_width) is int:  # past the float range; str() may refuse it
+            bin_width = "an int past the float range"
         raise ValueError(f"bin width must be finite and positive, got {bin_width}")
     cfg = as_config(cfg)
     equilibrium_angle(ps, cfg)  # refuse a bad probe state before numpy loads

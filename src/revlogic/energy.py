@@ -13,11 +13,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import repeat
-from numbers import Real
 from types import MappingProxyType
 from typing import Hashable, Mapping
 
-from .core import Gate, Word, _check_gate, all_words
+from .core import Gate, Word, _check_gate, _real, all_words
 from .derivation import Fixing, input_codes
 
 #: Boltzmann constant, exact SI value, J/K.
@@ -47,6 +46,8 @@ class Distribution:
 
     def __post_init__(self) -> None:
         try:
+            if bool in set(map(type, self.probabilities.values())):  # True would sum as 1
+                raise TypeError("a bool is not a probability")
             # `not p >= 0` and `not d <= tol` hold for NaN, unlike `p < 0` and `d > tol`.
             if not all(map(operator.ge, self.probabilities.values(), repeat(0))):
                 raise InvalidDistribution("negative probability")
@@ -167,12 +168,11 @@ def info_loss(table: Mapping[Word, Hashable], dist: Distribution) -> EnergyRepor
 
 def landauer_energy(bits: float, temperature_K: float) -> float:
     """Minimum dissipation for erasing ``bits`` at ``temperature_K`` kelvin."""
-    if isinstance(bits, bool) or not (isinstance(bits, Real) and 0 <= bits < math.inf):
+    if (erased := _real(bits)) is None or erased < 0:
         raise ValueError(f"erased bits must be finite and >= 0, got {bits}")
-    if isinstance(temperature_K, bool) or not (isinstance(temperature_K, Real)
-                                               and 0 < temperature_K < math.inf):
+    if (kelvin := _real(temperature_K)) is None or kelvin <= 0:
         raise NonphysicalTemperature(f"temperature must be finite and > 0 K, got {temperature_K}")
-    return bits * BOLTZMANN_JK * temperature_K * math.log(2)
+    return erased * BOLTZMANN_JK * kelvin * math.log(2)
 
 
 def transfer_table(

@@ -22,14 +22,12 @@ resolves the two one-probe angles.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from numbers import Real
 
-from .core import Gate, Word
+from .core import Gate, Word, _real
 from .derivation import Connective, Fixing, classify, derived_connectives, output_function
 from .device import PROBE_STATES, DeviceConfig, as_config, equilibrium_angle
 from .energy import transfer_table
@@ -82,7 +80,7 @@ def normalize(
     """Apply one angle-to-bit normalization function."""
     norm = NormalizationId(norm)
     cfg = as_config(cfg)
-    if not (isinstance(alpha, Real) and type(alpha) is not bool and 0 <= alpha < math.inf):
+    if (angle := _real(alpha)) is None or angle < 0:
         raise ValueError(f"angles are measured from the vertical, must be finite and >= 0, "
                          f"got {alpha!r}")
     if norm is NormalizationId.DELTA_U1:
@@ -92,10 +90,10 @@ def normalize(
             raise U4Unclassifiable("u4 needs a config that resolves the two one-probe angles")
         tol = u4_tolerance(cfg)
         for ps, bit in zip(PROBE_STATES, _U4_CLASSES):
-            if abs(alpha - equilibrium_angle(ps, cfg)) <= tol:
+            if abs(angle - equilibrium_angle(ps, cfg)) <= tol:
                 return bit
         raise U4Unclassifiable(f"angle {alpha} is not near any configured rest angle")
-    return _READERS[norm](alpha)
+    return _READERS[norm](angle)
 
 
 def delta_normalize(alpha_i: float, alpha_o: float) -> int:

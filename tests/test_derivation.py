@@ -9,7 +9,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from golden import RESTRICTION_ROWS
-from revlogic.core import Gate, GateError, Word
+from revlogic.core import MAX_WIDTH, Gate, GateError, Word
 from revlogic.derivation import (
     BINARY_NAMES,
     MAX_DERIVE_WIDTH,
@@ -641,3 +641,24 @@ class TestTypedErrorsAtTheEdge:
         # refused at the call, before anything is iterated
         with pytest.raises(InvalidFixing, match=r"fixing width must be an int >= 1"):
             iter_fixings(width)
+
+    def test_iter_fixings_refuses_a_width_past_max_width(self):
+        # the first next() once turned range(1, width + 1) into a tuple, at any width
+        with pytest.raises(InvalidFixing, match=rf"^fixing width must be an int >= 1 and <= "
+                                                rf"{MAX_WIDTH}, got {MAX_WIDTH + 1}$"):
+            iter_fixings(MAX_WIDTH + 1)
+        assert next(iter_fixings(MAX_WIDTH)) == Fixing.of(MAX_WIDTH, {})
+
+    def test_fixing_refuses_a_width_past_max_width(self):
+        # codes double with each line: width 22 once built 4,194,304 of them on first read
+        for make in (lambda: Fixing.of(MAX_WIDTH + 1, {}), lambda: Fixing(MAX_WIDTH + 1, ())):
+            with pytest.raises(InvalidFixing, match=rf"^fixing width must be an int <= "
+                                                    rf"{MAX_WIDTH}, got {MAX_WIDTH + 1}$"):
+                make()
+        assert Fixing.of(MAX_WIDTH, {1: 0}).free == tuple(range(2, MAX_WIDTH + 1))
+
+    @pytest.mark.parametrize("truth", [(False, True, True, True), (0, 1, 1, True)])
+    def test_from_truth_refuses_bool_truth_entries(self, truth):
+        # (False, True, True, True) once built a function that classify named OR
+        with pytest.raises(ValueError, match="^2 inputs need 4 truth bits$"):
+            BooleanFunction.from_truth((1, 2), truth)

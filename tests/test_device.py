@@ -185,6 +185,35 @@ class TestConfigArgument:
         with pytest.raises(ValueError, match="config must be a DeviceConfig or None"):
             sample_many(DD, 10, "x", np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [True, 2.5, "3", None])
+    def test_sample_many_refuses_a_count_that_is_not_an_integer(self, n):
+        # True and 2.5 once raised numpy's TypeError
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            sample_many(DD, n, None, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [-1, MAX_TRIALS + 1])
+    def test_sample_many_refuses_a_count_outside_0_to_max_trials_before_drawing(self, n):
+        # -1 once raised numpy's "negative dimensions"; nothing capped a count from above
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=rf"^trials must be 0..{MAX_TRIALS}, got {n}$"):
+            sample_many(DD, n, None, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("rng", [None, "rng", 3, object()])
+    def test_sample_many_refuses_an_rng_without_a_callable_normal(self, rng):
+        # None once raised AttributeError: 'NoneType' object has no attribute 'normal'
+        with pytest.raises(ValueError, match="rng must have a callable normal"):
+            sample_many(DD, 3, None, rng)
+
+    def test_sample_many_takes_any_rng_with_a_normal_and_numpy_integer_counts(self):
+        class Wrapper:  # what a counting or logging wrapper of a Generator looks like
+            def __init__(self, rng):
+                self.normal = rng.normal
+
+        values = sample_many(AA, np.int64(40), None, Wrapper(np.random.default_rng(2)))
+        assert values.tobytes() == sample_many(AA, 40, None, np.random.default_rng(2)).tobytes()
+
 
 class TestEquilibriumAngle:
     def test_dd_relaxes_to_vertical(self):

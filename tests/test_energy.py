@@ -71,6 +71,12 @@ class TestShannonEntropy:
         with pytest.raises(InvalidDistribution, match="must map outcomes to real numbers"):
             Distribution(None)
 
+    @pytest.mark.parametrize("probabilities", [{"a": True}, {"a": 0.5, "b": 0.5, "c": False}])
+    def test_a_bool_probability_is_refused_not_read_as_1(self, probabilities):
+        # {"a": True} once built a point mass
+        with pytest.raises(InvalidDistribution, match="must map outcomes to real numbers"):
+            Distribution(probabilities)
+
     @pytest.mark.parametrize("p", ["1", None, 1j, [1.0]])
     def test_a_probability_that_is_not_a_number_is_refused(self, p):
         # a TypeError from "1" >= 0 before
